@@ -2,7 +2,8 @@
 # Full verification pipeline: build, tests, a quick benchmark smoke pass,
 # and (optionally) sanitizer builds of the concurrency-heavy tests.
 #
-#   scripts/check.sh               # build + ctest + bench smoke
+#   scripts/check.sh               # build + ctest + schedule-invariance
+#                                  # repeats + bench smoke
 #   scripts/check.sh --tsan        # additionally run ThreadSanitizer subset
 #   scripts/check.sh --asan        # additionally run AddressSanitizer subset
 #   scripts/check.sh --failpoints  # additionally run an env-armed fault pass
@@ -67,6 +68,14 @@ cmake --build build
 
 echo "== tests =="
 ctest --test-dir build -j1 --output-on-failure
+
+# Schedule-invariance: work_units must not depend on which warp adopts
+# which task. Repeating the replay tests makes a schedule-dependent
+# counter fail here instead of flaking the test suite.
+echo "== schedule-invariance repeats =="
+./build/tests/obs_test --gtest_filter='TracingOffTest.*' --gtest_repeat=20
+./build/tests/shard_differential_test --gtest_filter='*ShardWorkParity*' \
+  --gtest_repeat=20
 
 echo "== bench smoke (tight budget) =="
 TDFS_BENCH_BUDGET_MS=500 ./build/bench/tab01_datasets

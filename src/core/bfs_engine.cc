@@ -18,29 +18,51 @@
 
 namespace tdfs {
 
-namespace {
+namespace bfs {
 
 // Rows processed per parallel grab.
 constexpr int64_t kRowBlock = 256;
 
-// One level of materialized partial matches: row-major, `width` vertices
-// per row.
-struct Level {
-  int width = 0;
-  std::vector<VertexId> rows;
-
-  int64_t NumRows() const {
-    return width == 0 ? 0 : static_cast<int64_t>(rows.size()) / width;
+Level InitialEdges(const Graph& graph, const MatchPlan& plan,
+                   const EngineConfig& config, RunCounters* counters) {
+  Level level;
+  level.width = 2;
+  for (int64_t e = 0; e < graph.NumDirectedEdges(); ++e) {
+    const VertexId v0 = graph.EdgeSource(e);
+    const VertexId v1 = graph.EdgeTarget(e);
+    ++counters->edges_scanned;
+    if (PassesEdgeFilter(plan, graph, v0, v1, config.use_degree_filter) &&
+        PrefilterAdmitsEdge(config.prefiltered, plan.order[0], plan.order[1],
+                            v0, v1)) {
+      level.rows.push_back(v0);
+      level.rows.push_back(v1);
+      ++counters->initial_tasks;
+    }
   }
-  int64_t Bytes() const {
-    return static_cast<int64_t>(rows.size()) * sizeof(VertexId);
-  }
-  const VertexId* Row(int64_t r) const { return rows.data() + r * width; }
-};
+  return level;
+}
 
-// Runs fn(row_index) over [begin, end) with num_warps workers. Stops early
-// (leaving rows unprocessed) once the deadline passes; the caller reports
-// kDeadlineExceeded, so partial work is never mistaken for a result.
+int64_t RowBound(const Graph& graph, const MatchPlan& plan, int pos,
+                 const VertexId* row) {
+  int64_t bound = std::numeric_limits<int64_t>::max();
+  for (int b : plan.backward[pos]) {
+    bound = std::min(bound, graph.Degree(row[b]));
+  }
+  return bound;
+}
+
+int64_t EffectiveBudget(const EngineConfig& config,
+                        obs::WarpTracer* tracer) {
+  MemoryGovernor* governor = MemoryGovernor::Resolve(config.governor);
+  const int64_t budget =
+      governor->DeratedBudget(config.bfs_memory_budget_bytes);
+  if (budget != config.bfs_memory_budget_bytes && tracer->enabled()) {
+    tracer->Event(obs::TraceEvent::kMemPressure,
+                  static_cast<int64_t>(governor->Pressure()));
+  }
+  return budget;
+}
+
 void ParallelRows(int num_warps, int64_t begin, int64_t end,
                   int64_t deadline_ns,
                   const std::function<void(int, int64_t)>& fn) {
@@ -62,7 +84,10 @@ void ParallelRows(int num_warps, int64_t begin, int64_t end,
   });
 }
 
-}  // namespace
+}  // namespace bfs
+
+using bfs::Level;
+using bfs::ParallelRows;
 
 RunResult RunBfsEngine(const Graph& graph, const MatchPlan& plan,
                        const EngineConfig& config) {
@@ -81,22 +106,8 @@ RunResult RunBfsEngine(const Graph& graph, const MatchPlan& plan,
 
   // Level 2: the filtered initial edges.
   std::vector<std::unique_ptr<Level>> levels;
-  auto edge_level = std::make_unique<Level>();
-  edge_level->width = 2;
-  const int64_t num_directed = graph.NumDirectedEdges();
-  for (int64_t e = 0; e < num_directed; ++e) {
-    const VertexId v0 = graph.EdgeSource(e);
-    const VertexId v1 = graph.EdgeTarget(e);
-    ++counters.edges_scanned;
-    if (PassesEdgeFilter(plan, graph, v0, v1, config.use_degree_filter) &&
-        PrefilterAdmitsEdge(config.prefiltered, plan.order[0], plan.order[1],
-                            v0, v1)) {
-      edge_level->rows.push_back(v0);
-      edge_level->rows.push_back(v1);
-      ++counters.initial_tasks;
-    }
-  }
-  levels.push_back(std::move(edge_level));
+  levels.push_back(std::make_unique<Level>(
+      bfs::InitialEdges(graph, plan, config, &counters)));
 
   if (k == 2) {
     result.match_count =
@@ -157,17 +168,6 @@ RunResult RunBfsEngine(const Graph& graph, const MatchPlan& plan,
     auto next = std::make_unique<Level>();
     next->width = pos + 1;
 
-    // Upper bound of a row's fanout: its smallest backward neighbor list
-    // (the pre-intersection estimate PBE batches with).
-    auto row_bound = [&](int64_t r) {
-      const VertexId* row = cur.Row(r);
-      int64_t bound = std::numeric_limits<int64_t>::max();
-      for (int b : plan.backward[pos]) {
-        bound = std::min(bound, graph.Degree(row[b]));
-      }
-      return bound;
-    };
-
     auto deadline_exceeded = [&]() {
       if (deadline_ns == 0 || Timer::Now() <= deadline_ns) {
         return false;
@@ -188,27 +188,18 @@ RunResult RunBfsEngine(const Graph& graph, const MatchPlan& plan,
         return result;
       }
       // Cut a batch whose *estimated* extension fits the remaining budget.
-      // Governor pressure (other runs filling the device) derates the
-      // budget before each level is materialized — exact, just more and
-      // smaller batches.
-      const int64_t effective_budget =
-          MemoryGovernor::Resolve(config.governor)
-              ->DeratedBudget(config.bfs_memory_budget_bytes);
-      if (effective_budget != config.bfs_memory_budget_bytes &&
-          tracer.enabled()) {
-        tracer.Event(obs::TraceEvent::kMemPressure,
-                     static_cast<int64_t>(MemoryGovernor::Resolve(
-                                              config.governor)
-                                              ->Pressure()));
-      }
+      // Governor pressure derates the budget before each batch — exact,
+      // just more and smaller batches.
       const int64_t budget_left = std::max<int64_t>(
-          effective_budget - resident_bytes() - next->Bytes(), 0);
+          bfs::EffectiveBudget(config, &tracer) - resident_bytes() -
+              next->Bytes(),
+          0);
       int64_t batch_end = row;
       int64_t est_bytes = 0;
       while (batch_end < num_rows) {
         const int64_t add =
-            row_bound(batch_end) * next->width * static_cast<int64_t>(
-                                                     sizeof(VertexId));
+            bfs::RowBound(graph, plan, pos, cur.Row(batch_end)) *
+            next->width * static_cast<int64_t>(sizeof(VertexId));
         if (batch_end > row && est_bytes + add > budget_left) {
           break;
         }

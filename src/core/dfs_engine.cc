@@ -552,11 +552,17 @@ class WarpRunner {
     // Decomposed siblings share (v1, v2) and FIFO order keeps them mostly
     // contiguous per warp, so the rebuild is memoized on that pair —
     // without this, a straggler split into thousands of tasks recomputes
-    // the same (possibly hub-sized) intersection thousands of times.
+    // the same (possibly hub-sized) intersection thousands of times. The
+    // memo saves wall time only: a hit charges the units the rebuild
+    // charged, so work_units do not depend on which warp adopted which
+    // sibling.
     TDFS_CHECK(k_ > 3);
-    if (!(reuse_cache_valid_ && reuse_cache_v0_ == task.v1 &&
-          reuse_cache_v1_ == task.v2)) {
+    if (reuse_cache_valid_ && reuse_cache_v0_ == task.v1 &&
+        reuse_cache_v1_ == task.v2) {
+      work_.Add(reuse_cache_units_);
+    } else {
       reuse_cache_valid_ = false;  // rebuild in flight: don't trust on retry
+      const uint64_t units_before = work_.units;
       if (const StackWrite w = PopulateReuseSources(3);
           w != StackWrite::kOk) {
         // The rebuild itself ran dry. Nothing of this task was consumed
@@ -570,6 +576,7 @@ class WarpRunner {
       reuse_cache_valid_ = true;
       reuse_cache_v0_ = task.v1;
       reuse_cache_v1_ = task.v2;
+      reuse_cache_units_ = work_.units - units_before;
     }
     if (Valid(2, task.v3)) {
       LockedAssign(&match_[2], task.v3);
@@ -1310,6 +1317,7 @@ class WarpRunner {
   bool reuse_cache_valid_ = false;
   VertexId reuse_cache_v0_ = -1;
   VertexId reuse_cache_v1_ = -1;
+  uint64_t reuse_cache_units_ = 0;  // work the memoized rebuild charged
 
   // Half-steal visibility.
   std::mutex steal_mu_;

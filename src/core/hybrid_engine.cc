@@ -1,38 +1,18 @@
 #include "core/hybrid_engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
-#include <mutex>
 #include <vector>
 
+#include "core/bfs_engine.h"
 #include "core/candidates.h"
-#include "core/matcher.h"
 #include "query/candidate_filter.h"
 #include "graph/hub_bitmap.h"
-#include "mem/memory_governor.h"
 #include "obs/trace.h"
 #include "util/timer.h"
-#include "vgpu/scheduler.h"
 
 namespace tdfs {
 
 namespace {
-
-constexpr int64_t kRowBlock = 128;
-
-struct HybridLevel {
-  int width = 0;
-  std::vector<VertexId> rows;
-
-  int64_t NumRows() const {
-    return width == 0 ? 0 : static_cast<int64_t>(rows.size()) / width;
-  }
-  int64_t Bytes() const {
-    return static_cast<int64_t>(rows.size()) * sizeof(VertexId);
-  }
-  const VertexId* Row(int64_t r) const { return rows.data() + r * width; }
-};
 
 // Per-warp working state for both phases.
 struct WarpScratch {
@@ -70,44 +50,22 @@ void DfsFromRow(const Graph& graph, const MatchPlan& plan,
   }
 }
 
-// Shared body for the filtered and unfiltered paths: `graph` is what the
-// engine enumerates (possibly a candidate-induced CSR); `stats_graph`
-// supplies the planner's statistics (the original graph when prefiltering,
-// so plans agree with what the service layer would compile).
-RunResult RunHybridImpl(const Graph& graph, const QueryGraph& query,
-                        const EngineConfig& local, const Graph* stats_graph) {
+}  // namespace
+
+RunResult RunHybridEngine(const Graph& graph, const MatchPlan& plan,
+                          const EngineConfig& config) {
   RunResult result;
-  Result<MatchPlan> compiled = PlanForConfig(
-      query, local, stats_graph != nullptr ? stats_graph : &graph);
-  if (!compiled.ok()) {
-    result.status = compiled.status();
-    return result;
-  }
-  const MatchPlan& plan = compiled.value();
   const int k = plan.num_vertices;
 
   Timer total_timer;
   const int64_t deadline_ns =
-      local.max_run_ms > 0
-          ? Timer::Now() + static_cast<int64_t>(local.max_run_ms * 1e6)
+      config.max_run_ms > 0
+          ? Timer::Now() + static_cast<int64_t>(config.max_run_ms * 1e6)
           : 0;
   RunCounters counters;
 
   // Phase 1: BFS levels while the estimated next level fits the budget.
-  HybridLevel current;
-  current.width = 2;
-  for (int64_t e = 0; e < graph.NumDirectedEdges(); ++e) {
-    const VertexId v0 = graph.EdgeSource(e);
-    const VertexId v1 = graph.EdgeTarget(e);
-    ++counters.edges_scanned;
-    if (PassesEdgeFilter(plan, graph, v0, v1, local.use_degree_filter) &&
-        PrefilterAdmitsEdge(local.prefiltered, plan.order[0], plan.order[1],
-                            v0, v1)) {
-      current.rows.push_back(v0);
-      current.rows.push_back(v1);
-      ++counters.initial_tasks;
-    }
-  }
+  bfs::Level current = bfs::InitialEdges(graph, plan, config, &counters);
   if (k == 2) {
     result.match_count = static_cast<uint64_t>(current.NumRows());
     result.match_ms = total_timer.ElapsedMillis();
@@ -116,27 +74,27 @@ RunResult RunHybridImpl(const Graph& graph, const QueryGraph& query,
     return result;
   }
 
-  std::vector<WarpScratch> warps(local.num_warps);
+  std::vector<WarpScratch> warps(config.num_warps);
   for (WarpScratch& ws : warps) {
     ws.match.assign(k, -1);
   }
 
   // Intersection backend (plain CSR rows; full-adjacency bitmaps).
   HubBitmapIndex bitmaps;
-  if (UsesHubBitmaps(local.intersect)) {
-    bitmaps = HubBitmapIndex::Build(graph, nullptr, local.bitmap_min_degree);
+  if (UsesHubBitmaps(config.intersect)) {
+    bitmaps = HubBitmapIndex::Build(graph, nullptr, config.bitmap_min_degree);
   }
-  const StepDispatchTable steps(plan, local.intersect, &bitmaps);
+  const StepDispatchTable steps(plan, config.intersect, &bitmaps);
 
   // Single track for the host-driven BFS phase (one kBfsBatch per level),
   // clocked by the job's cumulative work at batch ends.
   WorkCounter hybrid_clock;
   obs::WarpTracer tracer;
   obs::Histogram* h_batch_rows = nullptr;
-  if (local.trace != nullptr) {
-    tracer = obs::WarpTracer(local.trace, 0, "hybrid-bfs", &hybrid_clock);
+  if (config.trace != nullptr) {
+    tracer = obs::WarpTracer(config.trace, 0, "hybrid-bfs", &hybrid_clock);
     h_batch_rows =
-        local.trace->metrics()->GetHistogram("hybrid.batch_rows");
+        config.trace->metrics()->GetHistogram("hybrid.batch_rows");
   }
   auto obs_batch = [&](int64_t batch_rows) {
     if (tracer.enabled()) {
@@ -149,24 +107,6 @@ RunResult RunHybridImpl(const Graph& graph, const QueryGraph& query,
     }
     obs::Observe(h_batch_rows, batch_rows);
   };
-  auto parallel_rows = [&](int64_t num_rows, auto&& fn) {
-    std::atomic<int64_t> cursor{0};
-    vgpu::LaunchKernel(local.num_warps, [&](int warp_id) {
-      while (true) {
-        if (deadline_ns > 0 && Timer::Now() > deadline_ns) {
-          return;
-        }
-        const int64_t b = cursor.fetch_add(kRowBlock);
-        if (b >= num_rows) {
-          return;
-        }
-        const int64_t e = std::min(b + kRowBlock, num_rows);
-        for (int64_t r = b; r < e; ++r) {
-          fn(warp_id, r);
-        }
-      }
-    });
-  };
   auto deadline_exceeded = [&]() {
     return deadline_ns > 0 && Timer::Now() > deadline_ns;
   };
@@ -177,36 +117,22 @@ RunResult RunHybridImpl(const Graph& graph, const QueryGraph& query,
     // Estimated next-level footprint: per-row minimum backward list size.
     int64_t estimate = 0;
     for (int64_t r = 0; r < current.NumRows(); ++r) {
-      const VertexId* row = current.Row(r);
-      int64_t bound = std::numeric_limits<int64_t>::max();
-      for (int b : plan.backward[pos]) {
-        bound = std::min(bound, graph.Degree(row[b]));
-      }
-      estimate += bound;
+      estimate += bfs::RowBound(graph, plan, pos, current.Row(r));
     }
     const int64_t next_bytes =
         estimate * (pos + 1) * static_cast<int64_t>(sizeof(VertexId));
     // Governor pressure derates the materialization budget before each
     // BFS level, switching to DFS earlier when the device is contended —
     // exact either way (DFS enumerates the same matches).
-    const int64_t effective_budget =
-        MemoryGovernor::Resolve(local.governor)
-            ->DeratedBudget(local.bfs_memory_budget_bytes);
-    if (effective_budget != local.bfs_memory_budget_bytes &&
-        tracer.enabled()) {
-      tracer.Event(
-          obs::TraceEvent::kMemPressure,
-          static_cast<int64_t>(
-              MemoryGovernor::Resolve(local.governor)->Pressure()));
-    }
-    if (current.Bytes() + next_bytes > effective_budget) {
+    if (current.Bytes() + next_bytes > bfs::EffectiveBudget(config, &tracer)) {
       break;  // next level may not fit: switch to DFS
     }
     // Extend breadth-first (single pass; per-warp staging buffers merged
     // after the parallel section).
     ++counters.bfs_batches;
-    std::vector<std::vector<VertexId>> staged(local.num_warps);
-    parallel_rows(current.NumRows(), [&](int w, int64_t r) {
+    std::vector<std::vector<VertexId>> staged(config.num_warps);
+    bfs::ParallelRows(config.num_warps, 0, current.NumRows(), deadline_ns,
+                    [&](int w, int64_t r) {
       WarpScratch& ws = warps[w];
       const VertexId* prefix = current.Row(r);
       std::copy(prefix, prefix + pos, ws.match.begin());
@@ -216,9 +142,9 @@ RunResult RunHybridImpl(const Graph& graph, const QueryGraph& query,
           &ws.scratch, &candidates, &ws.work);
       for (VertexId v : candidates) {
         ws.work.Add(1);
-        if (!PrefilterAdmits(local.prefiltered, plan.order[pos], v) ||
+        if (!PrefilterAdmits(config.prefiltered, plan.order[pos], v) ||
             !PassesConsumeChecks(plan, graph, ws.match.data(), pos, v,
-                                 local.use_degree_filter)) {
+                                 config.use_degree_filter)) {
           continue;
         }
         staged[w].insert(staged[w].end(), prefix, prefix + pos);
@@ -230,7 +156,7 @@ RunResult RunHybridImpl(const Graph& graph, const QueryGraph& query,
       result.counters = counters;
       return result;
     }
-    HybridLevel next;
+    bfs::Level next;
     next.width = pos + 1;
     for (const auto& part : staged) {
       next.rows.insert(next.rows.end(), part.begin(), part.end());
@@ -243,11 +169,12 @@ RunResult RunHybridImpl(const Graph& graph, const QueryGraph& query,
 
   // Phase 2: DFS from every materialized row.
   const int switch_pos = pos;
-  parallel_rows(current.NumRows(), [&](int w, int64_t r) {
+  bfs::ParallelRows(config.num_warps, 0, current.NumRows(), deadline_ns,
+                    [&](int w, int64_t r) {
     WarpScratch& ws = warps[w];
     const VertexId* prefix = current.Row(r);
     std::copy(prefix, prefix + switch_pos, ws.match.begin());
-    DfsFromRow(graph, plan, local, steps, &ws, switch_pos);
+    DfsFromRow(graph, plan, config, steps, &ws, switch_pos);
   });
   if (deadline_exceeded()) {
     result.status = Status::DeadlineExceeded("hybrid matching aborted");
@@ -266,36 +193,6 @@ RunResult RunHybridImpl(const Graph& graph, const QueryGraph& query,
   result.match_ms = total_timer.ElapsedMillis();
   result.total_ms = result.match_ms;
   return result;
-}
-
-}  // namespace
-
-RunResult RunMatchingHybrid(const Graph& graph, const QueryGraph& query,
-                            const EngineConfig& config) {
-  EngineConfig local = config;
-  local.use_reuse = false;  // the hybrid DFS phase has no reuse stack
-  const bool prefilter_applies =
-      local.prefilter != PrefilterKind::kOff && !local.induced &&
-      local.initial_edges == nullptr && local.delta_edges == nullptr;
-  if (prefilter_applies && local.prefiltered == nullptr) {
-    Timer total_timer;
-    Timer build_timer;
-    const FilteredGraph fg = BuildFilteredGraph(graph, query, local.prefilter);
-    const double build_ms = build_timer.ElapsedMillis();
-    local.prefiltered = &fg;
-    RunResult result;
-    if (!fg.AnyCandidateSetEmpty()) {
-      result = RunHybridImpl(fg.graph(), query, local, &graph);
-    }
-    result.counters.prefilter_ms = build_ms;
-    result.counters.prefilter_original_vertices = fg.stats().original_vertices;
-    result.counters.prefilter_original_edges = fg.stats().original_edges;
-    result.counters.prefilter_kept_vertices = fg.stats().kept_vertices;
-    result.counters.prefilter_kept_edges = fg.stats().kept_edges;
-    result.total_ms = total_timer.ElapsedMillis();
-    return result;
-  }
-  return RunHybridImpl(graph, query, local, nullptr);
 }
 
 }  // namespace tdfs

@@ -21,10 +21,17 @@
 
 namespace tdfs {
 
-/// Runs hybrid matching. Uses config.bfs_memory_budget_bytes as the device
-/// budget for materialized levels; reuse is disabled (BFS rows carry no
-/// per-path stacks). counters.bfs_batches records the number of
-/// breadth-first levels taken before switching.
+/// Runs hybrid matching on a compiled plan (compile it with use_reuse =
+/// false: BFS rows carry no per-path stacks). Uses
+/// config.bfs_memory_budget_bytes as the device budget for materialized
+/// levels. counters.bfs_batches records the number of breadth-first levels
+/// taken before switching.
+RunResult RunHybridEngine(const Graph& graph, const MatchPlan& plan,
+                          const EngineConfig& config);
+
+/// Hybrid matching on a query through the matcher pipeline (defined in
+/// core/matcher.cc with the other query-taking entry points): prefilter,
+/// plan with reuse disabled, then RunHybridEngine.
 RunResult RunMatchingHybrid(const Graph& graph, const QueryGraph& query,
                             const EngineConfig& config = TdfsConfig());
 

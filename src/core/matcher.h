@@ -7,14 +7,27 @@
 //   tdfs::RunResult r = tdfs::RunMatching(g, q, tdfs::TdfsConfig());
 //   if (r.status.ok()) std::cout << r.match_count << "\n";
 //
-// RunMatching compiles a MatchPlan from the query and the config's plan
-// options, then dispatches: StealStrategy::kNone/kTimeout/kHalfSteal/
-// kNewKernel run the warp-DFS engine; PBE's BFS engine is selected with
-// RunMatchingBfs. Multi-device jobs (config.num_devices > 1) run each
-// device's slice and report per-device times (Fig. 12).
+// Every query-taking entry point (RunMatching, RunMatchingCollect,
+// RunMatchingBfs, RunMatchingHybrid) runs one pipeline:
+//
+//   Prepare  build the candidate-induced view when PrefilterApplies;
+//   Plan     compile the MatchPlan (PlanForConfig) against the original
+//            graph's stats plus the exact candidate counts; an empty
+//            candidate set short-circuits to zero matches;
+//   Execute  hand (graph, plan, config) to the engine: RunMatchingPlanned
+//            for the warp-DFS strategies, the BFS (PBE) or hybrid engine;
+//   Merge    multi-device jobs run one slice per device (RunMatchingDevice,
+//            under config.retry) and merge them with MergeSlices (Fig. 12).
+//
+// Engines take plans; only this layer takes queries. The service layer
+// (service/match_service.h) enters at Execute with cached plans and
+// filtered views, and merges its concurrent slices with the same
+// MergeSlices.
 
 #ifndef TDFS_CORE_MATCHER_H_
 #define TDFS_CORE_MATCHER_H_
+
+#include <functional>
 
 #include "core/bfs_engine.h"
 #include "core/config.h"
@@ -40,17 +53,18 @@ bool PrefilterApplies(const EngineConfig& config);
 void RecordPrefilterStats(const FilteredGraph& fg, double build_ms,
                           RunCounters* counters);
 
-/// Compiles the plan implied by `config` for this query.
-Result<MatchPlan> PlanForConfig(const QueryGraph& query,
-                                const EngineConfig& config);
+/// The PlanOptions every plan compiled for `config` shares (symmetry
+/// breaking, reuse, induced, planner, bitmap threshold). Callers add the
+/// prefilter, stats and delta fields that depend on the run.
+PlanOptions PlanOptionsFor(const EngineConfig& config);
 
-/// Same, but with the data graph available for the cost planner: when
+/// Compiles the plan implied by `config` for this query. When
 /// config.planner == kCost, GraphStats are taken from config.graph_stats
 /// or computed from `graph` on the fly (one O(n) pass). With a null graph
 /// and no precomputed stats the cost planner degrades to greedy.
 Result<MatchPlan> PlanForConfig(const QueryGraph& query,
                                 const EngineConfig& config,
-                                const Graph* graph);
+                                const Graph* graph = nullptr);
 
 /// Depth-first matching (T-DFS and the DFS baselines).
 RunResult RunMatching(const Graph& graph, const QueryGraph& query,
@@ -63,17 +77,38 @@ RunResult RunMatching(const Graph& graph, const QueryGraph& query,
 RunResult RunMatchingPlanned(const Graph& graph, const MatchPlan& plan,
                              const EngineConfig& config);
 
-/// One device's slice of a counting job, executed under config.retry
-/// (failed attempts are discarded and re-run, escalating per the ladder;
-/// see RetryPolicy). This is the unit the service layer schedules: a
-/// multi-device job is `num_devices` independent calls with device_id in
-/// [0, config.num_devices). total_ms covers all attempts and backoff.
+/// One device's slice of a counting job: the unit the service layer
+/// schedules. A multi-device job is NumDeviceSlices(config) independent
+/// calls with device_id in [0, config.num_devices). When ShardingApplies,
+/// the single slice is the whole sharded job (the shard runner owns the
+/// worker fan-out). Otherwise the DFS engine runs the device's edge slice
+/// under config.retry: failed attempts are discarded and re-run,
+/// escalating per the ladder (see RetryPolicy). An unsharded graph larger
+/// than config.graph_budget_bytes fails with kResourceExhausted. total_ms
+/// covers all attempts and backoff.
 RunResult RunMatchingDevice(const Graph& graph, const MatchPlan& plan,
                             const EngineConfig& config, int device_id);
 
+/// Device slices a job under `config` runs as: 1 when sharding applies,
+/// else max(num_devices, 1).
+int NumDeviceSlices(const EngineConfig& config);
+
+/// Runs `attempt` under config.retry. A failed attempt is discarded
+/// wholesale (its counts never leak into the result, so a retry can never
+/// change the reported match count) and re-run with the next rung of the
+/// escalation ladder applied to its config, after the policy's backoff.
+/// Fault-observability counters of failed attempts carry into the
+/// returned result; attempts and total_ms cover every attempt.
+RunResult RunWithRetry(
+    const EngineConfig& config,
+    const std::function<RunResult(const EngineConfig&)>& attempt);
+
 /// Depth-first matching that additionally collects matches into `sink`
-/// (in query-vertex order) until the sink's capacity is reached. The
-/// returned match_count is still exact even when the sink fills early.
+/// (in query-vertex order, original vertex ids) until the sink's capacity
+/// is reached. The returned match_count is still exact even when the sink
+/// fills early. Collection ignores config.retry (a replayed attempt would
+/// duplicate rows already emitted) and config.prefilter / sharding (the
+/// filtered CSR renumbers vertices; the shard runner has no sink).
 RunResult RunMatchingCollect(const Graph& graph, const QueryGraph& query,
                              const EngineConfig& config, MatchSink* sink);
 

@@ -73,6 +73,30 @@ void RunCounters::MergeFrom(const RunCounters& other) {
       std::max(prefilter_kept_edges, other.prefilter_kept_edges);
 }
 
+RunResult MergeSlices(std::vector<RunResult> slices) {
+  if (slices.size() == 1) {
+    return std::move(slices.front());
+  }
+  RunResult merged;
+  for (RunResult& slice : slices) {
+    if (!slice.status.ok()) {
+      return std::move(slice);
+    }
+    if (slice.counters.attempts > 1) {
+      ++slice.counters.devices_recovered;
+    }
+    merged.match_count += slice.match_count;
+    // Per-device *simulated* kernel time (see SimulatedGpuMs): devices run
+    // back-to-back on this host, so raw wall times would hide both intra-
+    // device parallelism and inter-device balance.
+    merged.per_device_ms.push_back(slice.SimulatedGpuMs());
+    merged.counters.MergeFrom(slice.counters);
+    merged.attribution.MergeFrom(slice.attribution);
+  }
+  merged.match_ms = merged.SimulatedParallelMs();
+  return merged;
+}
+
 std::string RunResult::Summary() const {
   std::ostringstream oss;
   if (!status.ok()) {

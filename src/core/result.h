@@ -298,6 +298,16 @@ struct RunResult {
       const obs::MetricsRegistry* metrics = nullptr) const;
 };
 
+/// Merges the per-device slice results of one job (Fig. 12), in device
+/// order. A single slice passes through unchanged. Otherwise the first
+/// failed slice is returned as-is (a sequential device loop stops there,
+/// so it is also the last slice given); on success the counts are summed,
+/// counters and attribution merged, every slice re-executed under retry
+/// (attempts > 1) counts as one devices_recovered, per_device_ms holds each
+/// slice's SimulatedGpuMs, and match_ms = SimulatedParallelMs(). total_ms
+/// is left to the caller, whose clock covers the whole fan-out.
+RunResult MergeSlices(std::vector<RunResult> slices);
+
 }  // namespace tdfs
 
 #endif  // TDFS_CORE_RESULT_H_

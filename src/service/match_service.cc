@@ -9,7 +9,6 @@
 
 #include "obs/trace.h"
 #include "query/cost_planner.h"
-#include "shard/shard_runner.h"
 #include "util/logging.h"
 
 namespace tdfs {
@@ -161,12 +160,7 @@ std::future<RunResult> MatchService::Submit(const QueryGraph& query,
   stage_timer.Reset();
   const std::shared_ptr<const Graph> snapshot = dynamic_graph_.Snapshot();
   std::shared_ptr<const GraphStats> stats;
-  PlanOptions plan_options;
-  plan_options.use_symmetry_breaking = config_.use_symmetry_breaking;
-  plan_options.use_reuse = config_.use_reuse;
-  plan_options.induced = config_.induced;
-  plan_options.planner = config_.planner;
-  plan_options.planner_bitmap_min_degree = config_.bitmap_min_degree;
+  PlanOptions plan_options = PlanOptionsFor(config_);
   if (config_.planner == PlannerKind::kCost) {
     stats = StatsFor(snapshot);
     plan_options.stats = stats.get();
@@ -213,9 +207,7 @@ std::future<RunResult> MatchService::Submit(const QueryGraph& query,
   // A sharded job is one slice: the shard runner owns the worker fan-out
   // (per-shard arenas, queues, and threads), so splitting it across
   // service device slices would run the whole sharded job once per slice.
-  const int num_devices = shard::ShardingApplies(state->config)
-                              ? 1
-                              : std::max(state->config.num_devices, 1);
+  const int num_devices = NumDeviceSlices(state->config);
   state->devices_remaining = num_devices;
   state->device_results.resize(num_devices);
   state->span_track = track;
@@ -445,27 +437,15 @@ void MatchService::RunDeviceItem(DeviceItem& item) {
     if (device_config.governor == nullptr) {
       device_config.governor = options_.governor;
     }
+    // A prefiltered job runs over the candidate-induced CSR and consults
+    // the membership bitsets through config.prefiltered. (A sharded job's
+    // single slice builds its own per-shard arenas; the lease goes unused.)
+    device_config.prefiltered = job.filtered.get();
+    const Graph& data =
+        job.filtered != nullptr ? job.filtered->graph() : *job.snapshot;
     stage_timer.Reset();
-    if (job.filtered != nullptr) {
-      // Prefiltered job: the engine runs over the candidate-induced CSR
-      // and consults the membership bitsets through config.prefiltered.
-      device_config.prefiltered = job.filtered.get();
-    }
-    if (shard::ShardingApplies(device_config)) {
-      // Single-slice sharded job: the shard runner builds its own
-      // per-shard arenas and queues, so the leased shared resources do
-      // not apply; RunMatchingPlanned dispatches to the shard driver.
-      device_config.resources = nullptr;
-      const Graph& data =
-          job.filtered != nullptr ? job.filtered->graph() : *job.snapshot;
-      result = RunMatchingPlanned(data, *job.plan, device_config);
-    } else if (job.filtered != nullptr) {
-      result = RunMatchingDevice(job.filtered->graph(), *job.plan,
-                                 device_config, item.device_id);
-    } else {
-      result = RunMatchingDevice(*job.snapshot, *job.plan, device_config,
-                                 item.device_id);
-    }
+    result =
+        RunMatchingDevice(data, *job.plan, device_config, item.device_id);
     engine_ms = stage_timer.ElapsedMillis();
     RecordStage(Stage::kEngineRun, engine_ms);
   }
@@ -499,36 +479,13 @@ void MatchService::FinalizeJob(JobState* job) {
   obs::SpanLedger* ledger =
       job->config.trace != nullptr ? job->config.trace->spans() : nullptr;
   const obs::SpanContext ctx{ledger, job->span_track, job->root_span_id};
-  // Merge device slices exactly like RunMatchingPlanned's multi-device
-  // loop, so a service job and a direct RunMatching call report identical
+  // Merge device slices with the same MergeSlices as RunMatchingPlanned,
+  // so a service job and a direct RunMatching call report identical
   // results for the same config. No lock needed: every slice is done.
   Timer stage_timer;
   obs::SpanLedger::Span merge_span = ctx.Begin("merge");
-  const int num_devices = static_cast<int>(job->device_results.size());
-  RunResult final_result;
-  if (num_devices == 1) {
-    final_result = std::move(job->device_results[0]);
-  } else {
-    for (int d = 0; d < num_devices; ++d) {
-      RunResult& device_result = job->device_results[d];
-      if (!device_result.status.ok()) {
-        final_result = std::move(device_result);
-        break;
-      }
-      if (device_result.counters.attempts > 1) {
-        ++device_result.counters.devices_recovered;
-      }
-      final_result.match_count += device_result.match_count;
-      final_result.per_device_ms.push_back(device_result.SimulatedGpuMs());
-      final_result.counters.MergeFrom(device_result.counters);
-      final_result.counters.attempts = std::max(
-          final_result.counters.attempts, device_result.counters.attempts);
-      final_result.attribution.MergeFrom(device_result.attribution);
-    }
-    if (final_result.status.ok()) {
-      final_result.match_ms = final_result.SimulatedParallelMs();
-    }
-  }
+  const size_t num_devices = job->device_results.size();
+  RunResult final_result = MergeSlices(std::move(job->device_results));
   merge_span.End();
   const double merge_ms = stage_timer.ElapsedMillis();
   RecordStage(Stage::kMerge, merge_ms);
@@ -702,12 +659,7 @@ Result<MatchService::BatchUpdateReport> MatchService::ApplyUpdate(
       // stale; only a recount failure aborts the batch (the graph is
       // already published, so surface the error loudly).
       qd.recounted = true;
-      PlanOptions plan_options;
-      plan_options.use_symmetry_breaking = config_.use_symmetry_breaking;
-      plan_options.use_reuse = config_.use_reuse;
-      plan_options.induced = config_.induced;
-      plan_options.planner = config_.planner;
-      plan_options.planner_bitmap_min_degree = config_.bitmap_min_degree;
+      PlanOptions plan_options = PlanOptionsFor(config_);
       std::shared_ptr<const GraphStats> recount_stats;
       if (config_.planner == PlannerKind::kCost) {
         recount_stats = StatsFor(post.value());

@@ -9,12 +9,12 @@
 //
 // Concurrency model. Submit compiles (or cache-hits) the plan on the
 // caller's thread and enqueues one work item per device slice — a
-// multi-device job is decomposed into num_devices independent items that
-// share a JobState. Workers pull items, lease arena resources, and run
-// RunMatchingDevice (the per-device retry/escalation unit); the worker
-// that finishes a job's last slice merges per-device results exactly like
-// RunMatchingPlanned (summed counts, per_device_ms, max attempts,
-// devices_recovered) and fulfills the promise. No worker ever waits on
+// multi-device job is decomposed into NumDeviceSlices(config) independent
+// items that share a JobState. Workers pull items, lease arena resources,
+// and run RunMatchingDevice (the per-slice retry/escalation unit, or the
+// whole sharded job); the worker that finishes a job's last slice merges
+// them with MergeSlices, the merge RunMatchingPlanned uses, and fulfills
+// the promise. No worker ever waits on
 // another job's completion and leases are held only while an engine runs,
 // so the pool cannot deadlock; slices of different jobs (and of the same
 // job) run concurrently instead of back-to-back.

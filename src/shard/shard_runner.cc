@@ -1,7 +1,7 @@
 #include "shard/shard_runner.h"
 
 #include <algorithm>
-#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -9,6 +9,7 @@
 
 #include "core/bfs_engine.h"
 #include "core/dfs_engine.h"
+#include "core/matcher.h"
 #include "graph/partition.h"
 #include "mem/page_allocator.h"
 #include "obs/trace.h"
@@ -82,10 +83,46 @@ int NumaNodeFor(const EngineConfig& config, int s) {
                            config.numa_nodes.size()];
 }
 
-// One execution of the whole sharded job (every shard, one attempt). The
-// retry loop in RunMatchingSharded re-invokes this with escalated configs;
-// all per-shard resources are rebuilt per attempt so an escalated geometry
-// (bigger pool, different stack kind) never meets a stale arena.
+// Per-shard summary of one engine run on shard `s`; `before` is the
+// shard's fetch meters taken when the run started. Routing and the
+// simulated share are filled by the caller.
+ShardRunStats ShardStatsFor(const GraphPartition& part,
+                            const EngineConfig& config, int s,
+                            const FetchSnapshot& before, const RunResult& r) {
+  const FetchSnapshot now = FetchSnapshot::Take(part.Stats(s));
+  ShardRunStats stats;
+  stats.shard_id = s;
+  stats.numa_node = NumaNodeFor(config, s);
+  stats.owned_rows = part.OwnedRows(s);
+  stats.halo_rows = part.HaloRows(s);
+  stats.owned_edges = part.OwnedDirectedEdges(s);
+  stats.resident_bytes = part.ResidentBytes(s);
+  stats.local_rows = now.local_rows - before.local_rows;
+  stats.local_items = now.local_items - before.local_items;
+  stats.halo_rows_fetched = now.halo_rows - before.halo_rows;
+  stats.halo_items = now.halo_items - before.halo_items;
+  stats.remote_rows = now.remote_rows - before.remote_rows;
+  stats.remote_items = now.remote_items - before.remote_items;
+  stats.work_units = r.counters.work_units;
+  stats.max_warp_work_units = r.counters.max_warp_work_units;
+  return stats;
+}
+
+// Appends the per-shard stats to `merged`, surfacing the fetch tiers the
+// graph layer meters into the partition as run counters (engines never
+// see the tier split).
+void AddShardStats(std::vector<ShardRunStats> per_shard, RunResult* merged) {
+  for (const ShardRunStats& stats : per_shard) {
+    merged->counters.shard_halo_hits += stats.halo_rows_fetched;
+    merged->counters.shard_remote_reads += stats.remote_rows;
+  }
+  merged->per_shard = std::move(per_shard);
+}
+
+// One execution of the whole sharded job (every shard, one attempt).
+// RunMatchingSharded re-invokes this under RunWithRetry with escalated
+// configs; all per-shard resources are rebuilt per attempt so an escalated
+// geometry (bigger pool, different stack kind) never meets a stale arena.
 RunResult RunShardedAttempt(const MatchPlan& plan,
                             const EngineConfig& config,
                             const GraphPartition& part) {
@@ -101,40 +138,26 @@ RunResult RunShardedAttempt(const MatchPlan& plan,
   // ---- per-shard resources (exact config geometry, so the engines adopt
   // them instead of allocating their own — mandatory for the queues: the
   // routing pass below pre-seeds them) ----
-  std::vector<std::unique_ptr<PageAllocator>> allocators;
-  std::vector<std::unique_ptr<TaskQueue>> queues;
-  std::vector<EngineResources> resources(static_cast<size_t>(num_shards));
-  allocators.resize(static_cast<size_t>(num_shards));
-  queues.resize(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    if (config.stack == StackKind::kPaged) {
-      SpillOptions spill;
-      spill.enabled = config.spill_to_host;
-      spill.max_spill_pages = config.max_spill_pages;
-      spill.governor = config.governor;
-      allocators[static_cast<size_t>(s)] = std::make_unique<PageAllocator>(
-          config.page_pool_pages, config.page_bytes, spill);
-      allocators[static_cast<size_t>(s)]->SetNumaNode(
-          NumaNodeFor(config, s));
-      resources[static_cast<size_t>(s)].allocator =
-          allocators[static_cast<size_t>(s)].get();
-    }
-    if (config.steal == StealStrategy::kTimeout) {
-      queues[static_cast<size_t>(s)] =
-          std::make_unique<TaskQueue>(config.queue_capacity_ints);
-      resources[static_cast<size_t>(s)].queue =
-          queues[static_cast<size_t>(s)].get();
-    }
-  }
-
+  const size_t n = static_cast<size_t>(num_shards);
+  std::vector<std::unique_ptr<PageAllocator>> allocators(n);
+  std::vector<std::unique_ptr<TaskQueue>> queues(n);
+  std::vector<EngineResources> resources(n);
   ShardExchange exchange;
   const bool use_exchange = config.steal == StealStrategy::kTimeout;
-  if (use_exchange) {
-    exchange.num_shards = num_shards;
-    exchange.queues.resize(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      exchange.queues[static_cast<size_t>(s)] =
-          queues[static_cast<size_t>(s)].get();
+  exchange.num_shards = use_exchange ? num_shards : 0;
+  for (size_t s = 0; s < n; ++s) {
+    if (config.stack == StackKind::kPaged) {
+      allocators[s] = std::make_unique<PageAllocator>(
+          config.page_pool_pages, config.page_bytes,
+          SpillOptions{config.spill_to_host, config.max_spill_pages,
+                       config.governor});
+      allocators[s]->SetNumaNode(NumaNodeFor(config, static_cast<int>(s)));
+      resources[s].allocator = allocators[s].get();
+    }
+    if (use_exchange) {
+      queues[s] = std::make_unique<TaskQueue>(config.queue_capacity_ints);
+      resources[s].queue = queues[s].get();
+      exchange.queues.push_back(queues[s].get());
     }
   }
 
@@ -263,17 +286,10 @@ RunResult RunShardedAttempt(const MatchPlan& plan,
   // failure.
   Status failure = Status::OK();
   for (const RunResult& r : shard_results) {
-    if (!r.status.ok() && RetryableFailure(r.status)) {
+    if (!r.status.ok() &&
+        (failure.ok() ||
+         (RetryableFailure(r.status) && !RetryableFailure(failure)))) {
       failure = r.status;
-      break;
-    }
-  }
-  if (failure.ok()) {
-    for (const RunResult& r : shard_results) {
-      if (!r.status.ok()) {
-        failure = r.status;
-        break;
-      }
     }
   }
 
@@ -306,34 +322,17 @@ RunResult RunShardedAttempt(const MatchPlan& plan,
   merged.match_ms = merged.SimulatedParallelMs();
 
   // ---- per-shard stats + fetch-tier deltas ----
+  std::vector<ShardRunStats> per_shard;
   for (int s = 0; s < num_shards; ++s) {
-    const RunResult& r = shard_results[static_cast<size_t>(s)];
-    const FetchSnapshot now = FetchSnapshot::Take(part.Stats(s));
-    const FetchSnapshot& base = before[static_cast<size_t>(s)];
-    ShardRunStats stats;
-    stats.shard_id = s;
-    stats.numa_node = NumaNodeFor(config, s);
-    stats.owned_rows = part.OwnedRows(s);
-    stats.halo_rows = part.HaloRows(s);
-    stats.owned_edges = part.OwnedDirectedEdges(s);
-    stats.resident_bytes = part.ResidentBytes(s);
+    ShardRunStats stats =
+        ShardStatsFor(part, config, s, before[static_cast<size_t>(s)],
+                      shard_results[static_cast<size_t>(s)]);
     stats.routed_out = routed_out[static_cast<size_t>(s)];
     stats.routed_in = routed_in[static_cast<size_t>(s)];
-    stats.local_rows = now.local_rows - base.local_rows;
-    stats.local_items = now.local_items - base.local_items;
-    stats.halo_rows_fetched = now.halo_rows - base.halo_rows;
-    stats.halo_items = now.halo_items - base.halo_items;
-    stats.remote_rows = now.remote_rows - base.remote_rows;
-    stats.remote_items = now.remote_items - base.remote_items;
-    stats.work_units = r.counters.work_units;
-    stats.max_warp_work_units = r.counters.max_warp_work_units;
     stats.simulated_ms = merged.per_device_ms[static_cast<size_t>(s)];
-    merged.per_shard.push_back(stats);
-    // The graph layer meters fetch tiers into the partition; surface them
-    // as run counters here (engines never see the tier split).
-    merged.counters.shard_halo_hits += stats.halo_rows_fetched;
-    merged.counters.shard_remote_reads += stats.remote_rows;
+    per_shard.push_back(stats);
   }
+  AddShardStats(std::move(per_shard), &merged);
 
   // ---- per-shard observability (gauges; Prometheus names tdfs_mem_*) --
   if (config.trace != nullptr) {
@@ -364,6 +363,40 @@ RunResult RunShardedAttempt(const MatchPlan& plan,
   return merged;
 }
 
+// Adopts config.partition when its geometry matches, else partitions on
+// the fly (preprocessing, like the other host-side passes); admits every
+// shard against graph_budget_bytes, then runs `body` on the partition.
+// The partition time is charged to preprocess_ms, and total_ms covers the
+// whole job.
+RunResult RunOnPartition(
+    const Graph& graph, const EngineConfig& config,
+    const std::function<RunResult(const GraphPartition&)>& body) {
+  Timer total_timer;
+  const int num_shards = EffectiveShards(config);
+  const GraphPartition* part = config.partition;
+  std::unique_ptr<GraphPartition> owned_part;
+  if (part == nullptr ||
+      !PartitionMatches(*part, graph, config, num_shards)) {
+    PartitionSpec spec;
+    spec.kind = config.sharding;
+    spec.num_shards = num_shards;
+    spec.halo_max_degree = config.shard_halo_max_degree;
+    owned_part = GraphPartition::Build(graph, spec);
+    part = owned_part.get();
+  }
+  const double partition_ms = total_timer.ElapsedMillis();
+  RunResult result;
+  if (Status admit = AdmitShards(*part, config.graph_budget_bytes);
+      !admit.ok()) {
+    result.status = admit;
+  } else {
+    result = body(*part);
+  }
+  result.counters.preprocess_ms += partition_ms;
+  result.total_ms = total_timer.ElapsedMillis();
+  return result;
+}
+
 }  // namespace
 
 int EffectiveShards(const EngineConfig& config) {
@@ -378,149 +411,47 @@ bool ShardingApplies(const EngineConfig& config) {
 
 RunResult RunMatchingSharded(const Graph& graph, const MatchPlan& plan,
                              const EngineConfig& config) {
-  Timer total_timer;
-  const int num_shards = EffectiveShards(config);
-
-  // Partition: adopt a matching prebuilt one, else build (preprocessing,
-  // like the other host-side passes).
-  Timer partition_timer;
-  const GraphPartition* part = config.partition;
-  std::unique_ptr<GraphPartition> owned_part;
-  if (part == nullptr ||
-      !PartitionMatches(*part, graph, config, num_shards)) {
-    PartitionSpec spec;
-    spec.kind = config.sharding;
-    spec.num_shards = num_shards;
-    spec.halo_max_degree = config.shard_halo_max_degree;
-    owned_part = GraphPartition::Build(graph, spec);
-    part = owned_part.get();
-  }
-  const double partition_ms = partition_timer.ElapsedMillis();
-
-  if (Status admit = AdmitShards(*part, config.graph_budget_bytes);
-      !admit.ok()) {
-    RunResult result;
-    result.status = admit;
-    result.counters.preprocess_ms = partition_ms;
-    result.total_ms = total_timer.ElapsedMillis();
-    return result;
-  }
-
-  // Whole-job retry under config.retry, mirroring the unsharded device
-  // jobs: failed attempts are discarded wholesale (counts never leak),
-  // fault-observability counters carry forward.
-  EngineConfig attempt_config = config;
-  RunCounters carry;
-  double backoff_ms = config.retry.backoff_ms;
-  if (config.retry.max_backoff_ms > 0) {
-    backoff_ms = std::min(backoff_ms, config.retry.max_backoff_ms);
-  }
-  const int max_attempts = std::max(config.retry.max_attempts, 1);
-  for (int attempt = 1;; ++attempt) {
-    RunResult r = RunShardedAttempt(plan, attempt_config, *part);
-    r.counters.attempts = attempt;
-    r.counters.failpoint_fires += carry.failpoint_fires;
-    r.counters.pressure_retries += carry.pressure_retries;
-    r.counters.pressure_pages_released += carry.pressure_pages_released;
-    r.counters.deferred_tasks += carry.deferred_tasks;
-    if (attempt > 1) {
-      r.counters.degraded_mode = true;
-    }
-    if (r.status.ok() || attempt >= max_attempts ||
-        !RetryableFailure(r.status)) {
-      r.counters.preprocess_ms += partition_ms;
-      r.total_ms = total_timer.ElapsedMillis();
-      return r;
-    }
-    carry.failpoint_fires = r.counters.failpoint_fires;
-    carry.pressure_retries = r.counters.pressure_retries;
-    carry.pressure_pages_released = r.counters.pressure_pages_released;
-    carry.deferred_tasks = r.counters.deferred_tasks;
-    ApplyRetryEscalation(&attempt_config, attempt + 1, r.status);
-    if (backoff_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(backoff_ms));
-      backoff_ms *= 2;
-      if (config.retry.max_backoff_ms > 0) {
-        backoff_ms = std::min(backoff_ms, config.retry.max_backoff_ms);
-      }
-    }
-  }
+  return RunOnPartition(graph, config, [&](const GraphPartition& part) {
+    // Whole-job retry, like the unsharded device jobs: per-shard resources
+    // are rebuilt per attempt, so an escalated geometry never meets a
+    // stale arena.
+    return RunWithRetry(config, [&](const EngineConfig& attempt_config) {
+      return RunShardedAttempt(plan, attempt_config, part);
+    });
+  });
 }
 
 RunResult RunBfsSharded(const Graph& graph, const MatchPlan& plan,
                         const EngineConfig& config) {
-  RunResult merged;
-  Timer total_timer;
-  const int num_shards = EffectiveShards(config);
-
-  Timer partition_timer;
-  const GraphPartition* part = config.partition;
-  std::unique_ptr<GraphPartition> owned_part;
-  if (part == nullptr ||
-      !PartitionMatches(*part, graph, config, num_shards)) {
-    PartitionSpec spec;
-    spec.kind = config.sharding;
-    spec.num_shards = num_shards;
-    spec.halo_max_degree = config.shard_halo_max_degree;
-    owned_part = GraphPartition::Build(graph, spec);
-    part = owned_part.get();
-  }
-  const double partition_ms = partition_timer.ElapsedMillis();
-  merged.counters.preprocess_ms = partition_ms;
-
-  if (Status admit = AdmitShards(*part, config.graph_budget_bytes);
-      !admit.ok()) {
-    merged.status = admit;
-    merged.total_ms = total_timer.ElapsedMillis();
-    return merged;
-  }
-
-  // Level-synchronous extension has no queue to route through and no
-  // straggler to steal from: shard views alone give each worker its
-  // disjoint slice of the directed-edge space, and non-resident adjacency
-  // resolves through the halo / remote tiers. Shards run back-to-back and
-  // merge exactly like the unsharded multi-device path.
-  for (int s = 0; s < num_shards; ++s) {
-    EngineConfig cfg = config;
-    cfg.num_devices = 1;
-    cfg.sharding = ShardingKind::kOff;
-    cfg.partition = nullptr;
-    cfg.shard_id = s;
-    const FetchSnapshot before = FetchSnapshot::Take(part->Stats(s));
-    RunResult r = RunBfsEngine(part->ShardView(s), plan, cfg);
-    if (!r.status.ok()) {
-      r.counters.preprocess_ms += partition_ms;
-      r.total_ms = total_timer.ElapsedMillis();
-      return r;
+  return RunOnPartition(graph, config, [&](const GraphPartition& part) {
+    // Level-synchronous extension has no queue to route through and no
+    // straggler to steal from: shard views alone give each worker its
+    // disjoint slice of the directed-edge space, and non-resident
+    // adjacency resolves through the halo / remote tiers. Shards run
+    // back-to-back and merge exactly like the unsharded multi-device path.
+    std::vector<RunResult> slices;
+    std::vector<ShardRunStats> per_shard;
+    for (int s = 0; s < part.num_shards(); ++s) {
+      EngineConfig cfg = config;
+      cfg.num_devices = 1;
+      cfg.sharding = ShardingKind::kOff;
+      cfg.partition = nullptr;
+      cfg.shard_id = s;
+      const FetchSnapshot before = FetchSnapshot::Take(part.Stats(s));
+      slices.push_back(RunBfsEngine(part.ShardView(s), plan, cfg));
+      const RunResult& r = slices.back();
+      if (!r.status.ok()) {
+        break;
+      }
+      per_shard.push_back(ShardStatsFor(part, config, s, before, r));
+      per_shard.back().simulated_ms = r.SimulatedGpuMs();
     }
-    merged.match_count += r.match_count;
-    merged.per_device_ms.push_back(r.SimulatedGpuMs());
-    merged.counters.MergeFrom(r.counters);
-    const FetchSnapshot now = FetchSnapshot::Take(part->Stats(s));
-    ShardRunStats stats;
-    stats.shard_id = s;
-    stats.numa_node = NumaNodeFor(config, s);
-    stats.owned_rows = part->OwnedRows(s);
-    stats.halo_rows = part->HaloRows(s);
-    stats.owned_edges = part->OwnedDirectedEdges(s);
-    stats.resident_bytes = part->ResidentBytes(s);
-    stats.local_rows = now.local_rows - before.local_rows;
-    stats.local_items = now.local_items - before.local_items;
-    stats.halo_rows_fetched = now.halo_rows - before.halo_rows;
-    stats.halo_items = now.halo_items - before.halo_items;
-    stats.remote_rows = now.remote_rows - before.remote_rows;
-    stats.remote_items = now.remote_items - before.remote_items;
-    stats.work_units = r.counters.work_units;
-    stats.max_warp_work_units = r.counters.max_warp_work_units;
-    stats.simulated_ms = r.SimulatedGpuMs();
-    merged.counters.shard_halo_hits += stats.halo_rows_fetched;
-    merged.counters.shard_remote_reads += stats.remote_rows;
-    merged.per_shard.push_back(stats);
-  }
-  merged.match_ms = merged.SimulatedParallelMs();
-  merged.total_ms = total_timer.ElapsedMillis();
-  return merged;
+    RunResult merged = MergeSlices(std::move(slices));
+    if (merged.status.ok()) {
+      AddShardStats(std::move(per_shard), &merged);
+    }
+    return merged;
+  });
 }
 
 }  // namespace tdfs::shard

@@ -13,6 +13,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/matcher.h"
@@ -74,16 +75,50 @@ TEST_F(MatchServiceTest, AsyncResultsMatchOneShotRuns) {
 }
 
 TEST_F(MatchServiceTest, MultiDeviceJobsMergeLikeTheSyncPath) {
+  // One warp on the virtual clock makes every counter replayable, so the
+  // service's concurrent slice merge must reproduce the direct run's
+  // sequential merge field for field. Both runs are traced so the
+  // attribution merge is exercised too.
   config_.num_devices = 3;
-  RunResult sync = RunMatching(*graph_, Pattern(2), config_);
+  config_.num_warps = 1;
+  config_.clock = ClockKind::kVirtual;
+  obs::TraceSession sync_trace;
+  EngineConfig sync_config = config_;
+  sync_config.trace = &sync_trace;
+  RunResult sync = RunMatching(*graph_, Pattern(2), sync_config);
   ASSERT_TRUE(sync.status.ok()) << sync.status;
 
-  MatchService service(*graph_, config_);
+  obs::TraceSession service_trace;
+  EngineConfig service_config = config_;
+  service_config.trace = &service_trace;
+  MatchService service(*graph_, service_config);
   RunResult r = service.Submit(Pattern(2)).get();
   ASSERT_TRUE(r.status.ok()) << r.status;
   EXPECT_EQ(r.match_count, sync.match_count);
   EXPECT_EQ(r.per_device_ms.size(), 3u);
-  EXPECT_EQ(r.counters.attempts, sync.counters.attempts);
+  EXPECT_EQ(r.per_device_ms.size(), sync.per_device_ms.size());
+  // Every counter except the wall-clock *_ms fields.
+#define TDFS_FIELD_EXPECT(name)                                            \
+  if constexpr (!std::is_floating_point_v<decltype(RunCounters::name)>) { \
+    EXPECT_EQ(r.counters.name, sync.counters.name) << #name;              \
+  }
+  TDFS_RUN_COUNTER_FIELDS(TDFS_FIELD_EXPECT)
+#undef TDFS_FIELD_EXPECT
+  // Attribution: same buckets with the same call counts (the sampled ns
+  // are wall time).
+  ASSERT_FALSE(sync.attribution.Empty());
+  ASSERT_EQ(r.attribution.cells.size(), sync.attribution.cells.size());
+  for (size_t i = 0; i < sync.attribution.cells.size(); ++i) {
+    EXPECT_EQ(r.attribution.cells[i].name, sync.attribution.cells[i].name);
+    EXPECT_EQ(r.attribution.cells[i].calls, sync.attribution.cells[i].calls)
+        << sync.attribution.cells[i].name;
+  }
+  ASSERT_EQ(r.attribution.arms.size(), sync.attribution.arms.size());
+  for (size_t i = 0; i < sync.attribution.arms.size(); ++i) {
+    EXPECT_EQ(r.attribution.arms[i].arm, sync.attribution.arms[i].arm);
+    EXPECT_EQ(r.attribution.arms[i].calls, sync.attribution.arms[i].calls)
+        << sync.attribution.arms[i].cell << "/" << sync.attribution.arms[i].arm;
+  }
 }
 
 TEST_F(MatchServiceTest, ShardedJobsRunAsOneSliceAndMatchTheOracle) {

@@ -195,5 +195,81 @@ TEST(MatchSinkCollectTest, AttemptsReportedConsistentlyWithCounting) {
             std::string::npos);
 }
 
+std::set<std::vector<VertexId>> CollectRows(const Graph& g,
+                                            const QueryGraph& q,
+                                            const EngineConfig& config,
+                                            RunResult* result) {
+  MatchSink sink(q.NumVertices(), 1 << 20);
+  *result = RunMatchingCollect(g, q, config, &sink);
+  std::set<std::vector<VertexId>> rows;
+  for (int64_t i = 0; i < sink.NumMatches(); ++i) {
+    auto m = sink.Match(i);
+    rows.insert(std::vector<VertexId>(m.begin(), m.end()));
+  }
+  return rows;
+}
+
+// Collection under a prefiltered, sharded config: the filtered CSR
+// renumbers vertices and the shard runner has no sink, so collection runs
+// unfiltered and unsharded — rows come out in original vertex ids, equal
+// to the rows collected with both knobs off.
+TEST(MatchSinkCollectTest, PrefilterAndShardingKeepOriginalIds) {
+  Graph g = GenerateBarabasiAlbert(150, 4, 101);
+  QueryGraph q = Pattern(1);  // diamond
+  EngineConfig plain = TdfsConfig();
+  plain.num_warps = 2;
+  EngineConfig knobs = plain;
+  knobs.prefilter = PrefilterKind::kNeighborhood;
+  knobs.sharding = ShardingKind::kHash;
+  knobs.num_shards = 3;
+
+  RunResult plain_result;
+  const auto plain_rows = CollectRows(g, q, plain, &plain_result);
+  ASSERT_TRUE(plain_result.status.ok()) << plain_result.status;
+  RunResult knobs_result;
+  const auto knobs_rows = CollectRows(g, q, knobs, &knobs_result);
+  ASSERT_TRUE(knobs_result.status.ok()) << knobs_result.status;
+
+  RunResult ref = RunMatchingRef(g, q, plain);
+  ASSERT_TRUE(ref.status.ok());
+  EXPECT_EQ(knobs_result.match_count, ref.match_count);
+  EXPECT_EQ(knobs_rows.size(), static_cast<size_t>(ref.match_count));
+  EXPECT_EQ(knobs_rows, plain_rows);
+  for (const auto& m : knobs_rows) {
+    for (int u = 0; u < q.NumVertices(); ++u) {
+      for (int v = u + 1; v < q.NumVertices(); ++v) {
+        if (q.HasEdge(u, v)) {
+          EXPECT_TRUE(g.HasEdge(m[u], m[v]));
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(knobs_result.per_shard.empty());
+  EXPECT_EQ(knobs_result.counters.prefilter_original_vertices, 0);
+}
+
+// The per-worker graph budget gates collection exactly as it gates
+// counting: an unsharded graph over budget fails before any row lands.
+TEST(MatchSinkCollectTest, GraphBudgetGatesCollectionLikeCounting) {
+  Graph g = GenerateErdosRenyi(80, 350, 99);
+  QueryGraph triangle(3, {{0, 1}, {1, 2}, {2, 0}});
+  EngineConfig config = TdfsConfig();
+  config.graph_budget_bytes = g.CsrBytes() - 1;
+  for (int devices : {1, 2}) {
+    config.num_devices = devices;
+    RunResult counted = RunMatching(g, triangle, config);
+    MatchSink sink(3, 1 << 20);
+    RunResult collected = RunMatchingCollect(g, triangle, config, &sink);
+    EXPECT_EQ(counted.status.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(collected.status.code(), counted.status.code());
+    EXPECT_EQ(sink.NumMatches(), 0);
+  }
+  config.graph_budget_bytes = g.CsrBytes();
+  MatchSink sink(3, 1 << 20);
+  RunResult fits = RunMatchingCollect(g, triangle, config, &sink);
+  ASSERT_TRUE(fits.status.ok()) << fits.status;
+  EXPECT_EQ(static_cast<uint64_t>(sink.NumMatches()), fits.match_count);
+}
+
 }  // namespace
 }  // namespace tdfs

@@ -17,6 +17,7 @@
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "obs/trace.h"
+#include "query/candidate_filter.h"
 #include "query/patterns.h"
 #include "shard/shard_runner.h"
 
@@ -61,13 +62,14 @@ EngineConfig CfgPbe() {
 }
 
 using SweepParam =
-    std::tuple<const char*, EngineCase, ShardingKind, int>;
+    std::tuple<const char*, EngineCase, ShardingKind, int, PrefilterKind>;
 
 class ShardDifferentialTest : public ::testing::TestWithParam<SweepParam> {
 };
 
 TEST_P(ShardDifferentialTest, ShardedCountEqualsOracle) {
-  const auto& [graph_name, engine_case, kind, pattern_index] = GetParam();
+  const auto& [graph_name, engine_case, kind, pattern_index, prefilter] =
+      GetParam();
   Graph g =
       std::string(graph_name) == "labeled" ? Labeled() : Unlabeled();
   QueryGraph q = Pattern(pattern_index);
@@ -80,26 +82,44 @@ TEST_P(ShardDifferentialTest, ShardedCountEqualsOracle) {
   config.sharding = kind;
   config.num_shards = 3;
   config.shard_halo_max_degree = 8;
+  // Prefilter x sharding: the shard runner partitions the
+  // candidate-induced CSR (RunMatchingSharded / RunBfsSharded on
+  // fg.graph()).
+  config.prefilter = prefilter;
   RunResult r = engine_case.engine == EngineUnderTest::kBfs
                     ? RunMatchingBfs(g, q, config)
                     : RunMatching(g, q, config);
   ASSERT_TRUE(r.status.ok()) << r.status;
   EXPECT_EQ(r.match_count, oracle.match_count)
       << graph_name << " / " << engine_case.name << " / "
-      << ShardingKindName(kind) << " / " << PatternName(pattern_index);
+      << ShardingKindName(kind) << " / " << PatternName(pattern_index)
+      << " / " << PrefilterKindName(prefilter);
+  int64_t sharded_edges = g.NumDirectedEdges();
+  if (prefilter != PrefilterKind::kOff) {
+    ASSERT_GT(r.counters.prefilter_original_vertices, 0);
+    if (BuildFilteredGraph(g, q, prefilter).AnyCandidateSetEmpty()) {
+      EXPECT_TRUE(r.per_shard.empty());  // zero matches, no engine ran
+      return;
+    }
+    sharded_edges = 2 * r.counters.prefilter_kept_edges;
+  }
   // Sharding actually engaged.
   ASSERT_EQ(r.per_shard.size(), 3u);
   int64_t owned = 0;
   for (const ShardRunStats& s : r.per_shard) {
     owned += s.owned_edges;
   }
-  EXPECT_EQ(owned, g.NumDirectedEdges());
+  EXPECT_EQ(owned, sharded_edges);
 }
 
 std::string SweepName(const ::testing::TestParamInfo<SweepParam>& info) {
-  const auto& [graph_name, engine_case, kind, pattern_index] = info.param;
+  const auto& [graph_name, engine_case, kind, pattern_index, prefilter] =
+      info.param;
   return std::string(graph_name) + "_" + engine_case.name + "_" +
-         ShardingKindName(kind) + "_" + PatternName(pattern_index);
+         ShardingKindName(kind) + "_" + PatternName(pattern_index) +
+         (prefilter == PrefilterKind::kOff
+              ? ""
+              : std::string("_") + PrefilterKindName(prefilter));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -112,7 +132,8 @@ INSTANTIATE_TEST_SUITE_P(
             EngineCase{"egsm", EngineUnderTest::kDfs, CfgEgsm},
             EngineCase{"pbe", EngineUnderTest::kBfs, CfgPbe}),
         ::testing::Values(ShardingKind::kHash, ShardingKind::kGreedy),
-        ::testing::Values(1, 4, 7, 10)),
+        ::testing::Values(1, 4, 7, 10),
+        ::testing::Values(PrefilterKind::kOff, PrefilterKind::kNeighborhood)),
     SweepName);
 
 // ---------------------------------------------------------------------------
