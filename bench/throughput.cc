@@ -4,8 +4,8 @@
 // query-serving shape the service layer targets. Three rows:
 //
 //   cold     — sequential RunMatching per job: every job recompiles its
-//              plan and allocates + zero-fills a fresh page pool (32 MB)
-//              and task-queue ring (12 MB).
+//              plan and builds a fresh page pool (32 MB) and task-queue
+//              ring (3M ints), both reserved and committed on first touch.
 //   warm-1w  — MatchService with ONE worker: isolates what the plan cache
 //              and engine-arena reuse buy, with no added concurrency.
 //   warm     — MatchService with the full worker pool: reuse plus

@@ -81,8 +81,9 @@ echo "== bench smoke (tight budget) =="
 TDFS_BENCH_BUDGET_MS=500 ./build/bench/tab01_datasets
 TDFS_BENCH_BUDGET_MS=500 ./build/bench/tab0708_stacks_youtube
 
-# Concurrency-focused test filter for sanitizer runs.
-SAN_TESTS='task_queue_test|page_allocator_test|atomics_test|scheduler_test|match_sink_test|failpoint_test|resilience_test'
+# Concurrency-focused tests for sanitizer runs. engine_arena_test reuses
+# leased queues across jobs, each reset only over the ring prefix it used.
+SAN_TESTS='task_queue_test page_allocator_test engine_arena_test atomics_test scheduler_test match_sink_test failpoint_test resilience_test'
 
 for flag in "$@"; do
   case "$flag" in
@@ -516,13 +517,10 @@ EOF
   esac
   echo "== ${SAN} sanitizer =="
   cmake -B "build-${SAN}" -G Ninja -DTDFS_SANITIZE="${SAN}" >/dev/null
-  for t in task_queue_test page_allocator_test atomics_test \
-           scheduler_test match_sink_test failpoint_test resilience_test \
-           dfs_engine_test; do
+  for t in ${SAN_TESTS} dfs_engine_test; do
     cmake --build "build-${SAN}" --target "$t"
   done
-  for t in task_queue_test page_allocator_test atomics_test \
-           scheduler_test match_sink_test failpoint_test resilience_test; do
+  for t in ${SAN_TESTS}; do
     "./build-${SAN}/tests/$t"
   done
   # One engine correctness pass under the sanitizer (subset: fast cases).

@@ -144,7 +144,8 @@ struct EngineConfig {
   /// tau for ClockKind::kVirtual, in work units.
   uint64_t timeout_work_units = 1 << 18;
 
-  /// Q_task capacity in ints (multiple of 3; paper default 3M = 12 MB).
+  /// Q_task capacity in ints (multiple of 3; paper default 3M). Reserved;
+  /// committed on first touch, so a run pays only for the ring it reaches.
   int32_t queue_capacity_ints = TaskQueue::kDefaultCapacityInts;
 
   /// Maximum matched vertices in a decomposed task (paper: 3, following

@@ -25,7 +25,7 @@
 //    fail with a timeout instead of blocking forever). Release via the
 //    RAII Reservation handle.
 //
-//  * Spill grants (out-of-core tier). When an arena's free list is dry,
+//  * Spill grants (out-of-core tier). When an arena is dry,
 //    the allocator asks TryGrantSpill(bytes) for a host-backed overflow
 //    page. Grants are bounded by max_spill_bytes so a runaway query cannot
 //    OOM the host; denials surface as alloc misses (and ultimately

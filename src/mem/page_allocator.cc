@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "util/failpoint.h"
 
@@ -14,15 +15,10 @@ PageAllocator::PageAllocator(int32_t num_pages, int64_t page_bytes,
   TDFS_CHECK(num_pages >= 1);
   TDFS_CHECK_MSG(page_bytes >= 4 && page_bytes % 4 == 0,
                  "page_bytes must be a positive multiple of 4");
-  arena_.resize(static_cast<int64_t>(num_pages) * page_ints_);
-  next_ = std::vector<std::atomic<PageId>>(num_pages);
-  allocated_ = std::vector<std::atomic<uint8_t>>(num_pages);
-  for (PageId p = 0; p < num_pages; ++p) {
-    next_[p].store(p + 1 < num_pages ? p + 1 : kNullPage,
-                   std::memory_order_relaxed);
-    allocated_[p].store(0, std::memory_order_relaxed);
-  }
-  head_.store(PackHead(0, 0), std::memory_order_relaxed);
+  arena_ = LazyRegion<int32_t>(static_cast<size_t>(num_pages) * page_ints_);
+  next_ = LazyRegion<PageId>(num_pages);
+  allocated_ = LazyRegion<uint8_t>(num_pages);
+  head_.store(PackHead(kNullPage, 0), std::memory_order_relaxed);
 
   spill_enabled_ = spill.enabled;
   governor_ =
@@ -34,11 +30,7 @@ PageAllocator::PageAllocator(int32_t num_pages, int64_t page_bytes,
                                 int64_t{num_pages} * 32,
                                 std::numeric_limits<int32_t>::max() -
                                     int64_t{num_pages});
-    spill_slots_ =
-        std::make_unique<std::atomic<int32_t*>[]>(spill_capacity_);
-    for (int32_t i = 0; i < spill_capacity_; ++i) {
-      spill_slots_[i].store(nullptr, std::memory_order_relaxed);
-    }
+    spill_slots_ = LazyRegion<int32_t*>(spill_capacity_);
   }
   governor_->RegisterCommitted(static_cast<int64_t>(num_pages_) *
                                this->page_bytes());
@@ -46,10 +38,10 @@ PageAllocator::PageAllocator(int32_t num_pages, int64_t page_bytes,
 
 PageAllocator::~PageAllocator() {
   // Defensively release any spill extents still live (a leaked stack);
-  // arena storage dies with the vector either way.
-  for (int32_t i = 0; i < spill_capacity_; ++i) {
-    int32_t* storage = spill_slots_[i].exchange(nullptr,
-                                                std::memory_order_relaxed);
+  // arena storage is unmapped with its region either way. Slots at or past
+  // spill_next_ were never used.
+  for (int32_t i = 0; i < spill_next_; ++i) {
+    int32_t* storage = std::exchange(spill_slots_[i], nullptr);
     if (storage != nullptr) {
       delete[] storage;
       governor_->ReleaseSpill(page_bytes());
@@ -59,6 +51,24 @@ PageAllocator::~PageAllocator() {
                                  page_bytes());
 }
 
+PageId PageAllocator::TakeArenaPage() {
+  PageId page = PopFreeList();
+  if (page == kNullPage) {
+    int32_t fresh = fresh_.load(std::memory_order_relaxed);
+    while (fresh < num_pages_ &&
+           !fresh_.compare_exchange_weak(fresh, fresh + 1,
+                                         std::memory_order_relaxed)) {
+    }
+    // The never-used pages ran out while we looked: a page returned
+    // meanwhile is the only one left, so look at the stack once more.
+    page = fresh < num_pages_ ? fresh : PopFreeList();
+  }
+  if (page != kNullPage) {
+    Allocated(page).store(1, std::memory_order_relaxed);
+  }
+  return page;
+}
+
 PageId PageAllocator::PopFreeList() {
   uint64_t head = head_.load(std::memory_order_acquire);
   while (true) {
@@ -66,12 +76,11 @@ PageId PageAllocator::PopFreeList() {
     if (top == kNullPage) {
       return kNullPage;
     }
-    PageId next = next_[top].load(std::memory_order_relaxed);
+    PageId next = Next(top).load(std::memory_order_relaxed);
     uint64_t desired = PackHead(next, HeadTag(head) + 1);
     if (head_.compare_exchange_weak(head, desired,
                                     std::memory_order_acq_rel,
                                     std::memory_order_acquire)) {
-      allocated_[top].store(1, std::memory_order_relaxed);
       return top;
     }
   }
@@ -80,7 +89,7 @@ PageId PageAllocator::PopFreeList() {
 void PageAllocator::PushFreeList(PageId page) {
   uint64_t head = head_.load(std::memory_order_acquire);
   while (true) {
-    next_[page].store(HeadTop(head), std::memory_order_relaxed);
+    Next(page).store(HeadTop(head), std::memory_order_relaxed);
     uint64_t desired = PackHead(page, HeadTag(head) + 1);
     if (head_.compare_exchange_weak(head, desired,
                                     std::memory_order_acq_rel,
@@ -93,7 +102,7 @@ void PageAllocator::PushFreeList(PageId page) {
 PageId PageAllocator::AllocPage() {
   PageId page = kNullPage;
   if (!TDFS_INJECT_FAILURE("page_alloc")) {
-    page = PopFreeList();
+    page = TakeArenaPage();
   }
   if (page == kNullPage && spill_enabled_) {
     page = AllocSpillPage();
@@ -141,7 +150,8 @@ PageId PageAllocator::AllocSpillPage() {
     return kNullPage;  // host byte ceiling reached
   }
   int32_t* storage = new int32_t[page_ints_];
-  spill_slots_[slot].store(storage, std::memory_order_release);
+  std::atomic_ref<int32_t*>(spill_slots_[slot])
+      .store(storage, std::memory_order_release);
   const int32_t live = spill_in_use_.fetch_add(1,
                                                std::memory_order_relaxed) + 1;
   int32_t peak = spill_peak_.load(std::memory_order_relaxed);
@@ -156,8 +166,8 @@ PageId PageAllocator::AllocSpillPage() {
 void PageAllocator::ReleaseSpillSlot(PageId page) {
   const int32_t slot = page - num_pages_;
   std::lock_guard<std::mutex> lock(spill_mu_);
-  int32_t* storage =
-      spill_slots_[slot].exchange(nullptr, std::memory_order_acq_rel);
+  int32_t* storage = std::atomic_ref<int32_t*>(spill_slots_[slot])
+                         .exchange(nullptr, std::memory_order_acq_rel);
   TDFS_CHECK_MSG(storage != nullptr,
                  "FreePage(" << page << ") spill double free");
   delete[] storage;
@@ -176,7 +186,7 @@ void PageAllocator::FreePage(PageId page) {
   }
   TDFS_CHECK_MSG(page >= 0, "FreePage(" << page << ") out of range");
   TDFS_CHECK_MSG(
-      allocated_[page].exchange(0, std::memory_order_relaxed) == 1,
+      Allocated(page).exchange(0, std::memory_order_relaxed) == 1,
       "FreePage(" << page << ") double free");
   PushFreeList(page);
   in_use_.fetch_sub(1, std::memory_order_relaxed);
@@ -189,12 +199,11 @@ PageId PageAllocator::TryPromote(PageId page) {
   if (TDFS_INJECT_FAILURE("spill_promote")) {
     return kNullPage;
   }
-  const PageId arena_page = PopFreeList();
+  const PageId arena_page = TakeArenaPage();
   if (arena_page == kNullPage) {
     return kNullPage;  // arena still full; keep the spill page
   }
-  const int32_t* src =
-      spill_slots_[page - num_pages_].load(std::memory_order_acquire);
+  const int32_t* src = PageData(page);
   TDFS_CHECK_MSG(src != nullptr,
                  "TryPromote(" << page << ") of a free spill page");
   std::memcpy(PageData(arena_page), src,

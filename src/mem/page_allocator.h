@@ -1,14 +1,18 @@
 // Lock-free page allocator (the Ouroboros [48] stand-in).
 //
-// A large arena is preallocated up front and cut into fixed-size pages
-// (8 KiB by default, matching the paper). Warps request and release pages
-// concurrently; the free list is a Treiber stack over page indices with an
-// ABA tag packed into the head word. Allocation never touches the system
-// allocator after construction — the property that makes dynamic stack
-// growth affordable on a GPU.
+// A large arena is reserved at construction, committed on first touch
+// (see mem/lazy_region.h), and cut into fixed-size pages (8 KiB by default,
+// matching the paper). Warps request and release pages concurrently: a
+// bump pointer hands out never-used pages in id order, and returned pages
+// go on a Treiber stack over page indices with an ABA tag packed into the
+// head word, which is popped first. Single-threaded, the page-id sequence
+// is that of a free list pre-linked 0,1,2,... with LIFO reuse. Allocation
+// never touches the system allocator after construction — the property
+// that makes dynamic stack growth affordable on a GPU — and a short run
+// commits only the pages it uses.
 //
 // Spill-to-host tier (optional). When constructed with SpillOptions
-// {enabled}, a dry free list no longer means failure: AllocPage falls back
+// {enabled}, a dry arena no longer means failure: AllocPage falls back
 // to host-backed overflow extents living behind the SAME PageId space
 // (spill ids start at num_pages()), and PageData routes transparently, so
 // warp stacks keep growing past the device arena at degraded-but-exact
@@ -24,10 +28,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
+#include "mem/lazy_region.h"
 #include "mem/memory_governor.h"
 #include "obs/metrics.h"
 #include "util/status.h"
@@ -40,7 +44,7 @@ inline constexpr PageId kNullPage = -1;
 
 /// Spill-tier configuration for PageAllocator.
 struct SpillOptions {
-  /// Enables host-backed overflow pages when the arena free list is dry.
+  /// Enables host-backed overflow pages when the arena is dry.
   bool enabled = false;
 
   /// Hard cap on concurrently live spill pages; 0 picks a default of
@@ -58,9 +62,10 @@ class PageAllocator {
   /// Default page size from the paper: 8 KiB == 2048 vertex ids.
   static constexpr int64_t kDefaultPageBytes = 8192;
 
-  /// Preallocates `num_pages` pages of `page_bytes` each (page_bytes must
-  /// be a positive multiple of 4). The arena bytes are registered with the
-  /// spill governor (Global() by default) for pressure accounting.
+  /// Reserves `num_pages` pages of `page_bytes` each (page_bytes must be a
+  /// positive multiple of 4); each OS page is committed on first touch, and
+  /// a never-used page reads all-zero. The full arena bytes are registered
+  /// with the spill governor (Global() by default) for pressure accounting.
   PageAllocator(int32_t num_pages, int64_t page_bytes = kDefaultPageBytes,
                 const SpillOptions& spill = SpillOptions{});
   ~PageAllocator();
@@ -68,8 +73,9 @@ class PageAllocator {
   PageAllocator(const PageAllocator&) = delete;
   PageAllocator& operator=(const PageAllocator&) = delete;
 
-  /// Pops a page off the free list; when the list is dry and spill is
-  /// enabled, falls back to a host-backed spill page (id >= num_pages()).
+  /// Takes a returned page, else a never-used one; when the arena is dry
+  /// and spill is enabled, falls back to a host-backed spill page
+  /// (id >= num_pages()).
   /// Returns kNullPage only when both tiers fail (or the "page_alloc" /
   /// "page_spill" failpoints fire) — counted in AllocMisses(). Thread-safe;
   /// lock-free on the arena path, mutex-guarded on the spill path.
@@ -80,7 +86,7 @@ class PageAllocator {
   /// double-freed page gets handed to two warps at once).
   void FreePage(PageId page);
 
-  /// Copies spill page `page` into a freshly popped arena page, frees the
+  /// Copies spill page `page` into a freshly taken arena page, frees the
   /// spill extent, and returns the arena id — or kNullPage when the arena
   /// is still full (or the "spill_promote" failpoint fires), leaving the
   /// spill page untouched. Net PagesInUse is unchanged on success.
@@ -92,13 +98,15 @@ class PageAllocator {
     if (page < num_pages_) {
       return arena_.data() + static_cast<int64_t>(page) * page_ints_;
     }
-    return spill_slots_[page - num_pages_].load(std::memory_order_acquire);
+    return std::atomic_ref<int32_t*>(spill_slots_[page - num_pages_])
+        .load(std::memory_order_acquire);
   }
   const int32_t* PageData(PageId page) const {
     if (page < num_pages_) {
       return arena_.data() + static_cast<int64_t>(page) * page_ints_;
     }
-    return spill_slots_[page - num_pages_].load(std::memory_order_acquire);
+    return std::atomic_ref<int32_t*>(spill_slots_[page - num_pages_])
+        .load(std::memory_order_acquire);
   }
 
   int32_t num_pages() const { return num_pages_; }
@@ -153,8 +161,9 @@ class PageAllocator {
 
   /// NUMA placement hint for this arena (shard runner: shard s gets
   /// numa_nodes[s % size]). Advisory and observational only — the arena is
-  /// one malloc'd block, and actual page placement follows the OS
-  /// first-touch policy of the worker thread that runs on it. -1 = none.
+  /// one reserved mapping committed on first touch, so each OS page lands
+  /// where the OS first-touch policy puts the worker thread that first
+  /// writes it. -1 = none.
   void SetNumaNode(int node) { numa_node_ = node; }
   int numa_node() const { return numa_node_; }
 
@@ -182,12 +191,23 @@ class PageAllocator {
     return static_cast<uint32_t>(head >> 32);
   }
 
-  /// Pops an arena page off the free list without touching the in-use
-  /// stats (shared by AllocPage and TryPromote). kNullPage when dry.
+  /// Takes an arena page — a returned one first, else the next never-used
+  /// one — and marks it allocated, without touching the in-use stats
+  /// (shared by AllocPage and TryPromote). kNullPage when the arena is dry.
+  PageId TakeArenaPage();
+
+  /// Pops a returned page off the Treiber stack. kNullPage when empty.
   PageId PopFreeList();
 
-  /// Pushes an arena page; stats are the caller's business.
+  /// Pushes a returned arena page; stats are the caller's business.
   void PushFreeList(PageId page);
+
+  std::atomic_ref<PageId> Next(PageId page) {
+    return std::atomic_ref<PageId>(next_[page]);
+  }
+  std::atomic_ref<uint8_t> Allocated(PageId page) {
+    return std::atomic_ref<uint8_t>(allocated_[page]);
+  }
 
   /// Allocates a spill extent (governor-accounted). kNullPage on denial.
   PageId AllocSpillPage();
@@ -199,13 +219,18 @@ class PageAllocator {
 
   int32_t num_pages_;
   int64_t page_ints_;
-  std::vector<int32_t> arena_;
-  std::vector<std::atomic<PageId>> next_;  // free-list links
-  // 1 iff the page is currently allocated. Maintained so FreePage can
-  // reject double-frees; ordered by the free-list CAS (cleared before a
-  // page is pushed, set after it is popped).
-  std::vector<std::atomic<uint8_t>> allocated_;
+  LazyRegion<int32_t> arena_;
+  // Free-list links, read and written through Next(). Only returned pages
+  // are ever linked, so the links need no initial value.
+  LazyRegion<PageId> next_;
+  // 1 iff the page is currently allocated, through Allocated(). Maintained
+  // so FreePage can reject double-frees; ordered by the free-list CAS
+  // (cleared before a page is pushed, set after it is taken). Zero — the
+  // mapping's initial state — is right for every never-used page.
+  LazyRegion<uint8_t> allocated_;
   std::atomic<uint64_t> head_;
+  // First never-used page; pages [fresh_, num_pages_) are untouched.
+  std::atomic<int32_t> fresh_{0};
   std::atomic<int32_t> in_use_{0};
   std::atomic<int32_t> peak_in_use_{0};
   std::atomic<int64_t> total_allocs_{0};
@@ -218,9 +243,9 @@ class PageAllocator {
   int32_t spill_capacity_ = 0;
   MemoryGovernor* governor_ = nullptr;
   // Slot i backs PageId num_pages_ + i; null when the slot is free. The
-  // pointer array is sized once at construction so PageData can read it
-  // without the spill mutex.
-  std::unique_ptr<std::atomic<int32_t*>[]> spill_slots_;
+  // pointer array is reserved once at construction (accessed through
+  // std::atomic_ref) so PageData can read it without the spill mutex.
+  LazyRegion<int32_t*> spill_slots_;
   std::mutex spill_mu_;
   std::vector<PageId> spill_free_;  // reusable slot indices; guarded
   int32_t spill_next_ = 0;          // first never-used slot; guarded

@@ -1,5 +1,7 @@
 #include "queue/task_queue.h"
 
+#include <algorithm>
+
 #include "util/failpoint.h"
 #include "vgpu/atomics.h"
 
@@ -9,19 +11,28 @@ namespace {
 // Back-off while waiting for the matching enqueue/dequeue to touch a slot
 // (Alg. 3 uses __nanosleep(10)).
 constexpr int64_t kSlotWaitNanos = 10;
+
+// Slot encoding: `value - kEmptySlot` in wrapping arithmetic, so kEmptySlot
+// is stored as 0 and every vertex id (including INT32_MAX) round-trips.
+constexpr int32_t kEmptyCode = 0;
+
+int32_t EncodeSlot(VertexId value) {
+  return static_cast<int32_t>(static_cast<uint32_t>(value) -
+                              static_cast<uint32_t>(kEmptySlot));
+}
+
+VertexId DecodeSlot(int32_t code) {
+  return static_cast<VertexId>(static_cast<uint32_t>(code) +
+                               static_cast<uint32_t>(kEmptySlot));
+}
 }  // namespace
 
 TaskQueue::TaskQueue(int32_t capacity_ints) : capacity_(capacity_ints) {
   TDFS_CHECK_MSG(capacity_ints > 0 && capacity_ints % 3 == 0,
                  "queue capacity must be a positive multiple of 3");
-  slots_.assign(capacity_ints, kEmptySlot);
-  // laps_[p] holds the ticket of the next operation allowed to touch slot
-  // p: ticket t for the enqueue of lap t / capacity, t + 1 for the
-  // matching dequeue. Slot p's first enqueue ticket is p itself.
-  laps_.resize(capacity_ints);
-  for (int32_t i = 0; i < capacity_ints; ++i) {
-    laps_[i] = i;
-  }
+  // All-zero is the empty ring: every slot empty, every lap pristine.
+  slots_ = LazyRegion<int32_t>(capacity_ints);
+  laps_ = LazyRegion<int64_t>(capacity_ints);
 }
 
 bool TaskQueue::Enqueue(const Task& task) {
@@ -58,17 +69,19 @@ bool TaskQueue::Enqueue(const Task& task) {
   // tearing a task across producers. Each slot therefore carries a lap
   // sequence; an operation proceeds only when the sequence equals its own
   // ticket, which totally orders the slot's fill/take pairs across laps.
+  // Laps are stored relative to the position (see laps_).
   const VertexId values[3] = {task.v1, task.v2, task.v3};
   for (int i = 0; i < 3; ++i) {
     const int64_t slot_ticket = ticket + i;
     const int32_t pos = static_cast<int32_t>(slot_ticket % capacity_);
-    while (vgpu::AtomicLoad64(&laps_[pos]) != slot_ticket) {
+    const int64_t lap = slot_ticket - pos;
+    while (vgpu::AtomicLoad64(&laps_[pos]) != lap) {
       vgpu::Nanosleep(kSlotWaitNanos);
     }
-    const VertexId prev = vgpu::AtomicExch(&slots_[pos], values[i]);
-    TDFS_CHECK_MSG(prev == kEmptySlot,
+    const int32_t prev = vgpu::AtomicExch(&slots_[pos], EncodeSlot(values[i]));
+    TDFS_CHECK_MSG(prev == kEmptyCode,
                    "enqueue hand-off found an occupied slot");
-    vgpu::AtomicStore64(&laps_[pos], slot_ticket + 1);
+    vgpu::AtomicStore64(&laps_[pos], lap + 1);
   }
   const int64_t op_index =
       total_enqueued_.fetch_add(1, std::memory_order_relaxed);
@@ -121,13 +134,15 @@ bool TaskQueue::DequeueInternal(Task* task) {
   for (int i = 0; i < 3; ++i) {
     const int64_t slot_ticket = ticket + i;
     const int32_t pos = static_cast<int32_t>(slot_ticket % capacity_);
-    while (vgpu::AtomicLoad64(&laps_[pos]) != slot_ticket + 1) {
+    const int64_t lap = slot_ticket - pos;
+    while (vgpu::AtomicLoad64(&laps_[pos]) != lap + 1) {
       vgpu::Nanosleep(kSlotWaitNanos);
     }
-    values[i] = vgpu::AtomicExch(&slots_[pos], kEmptySlot);
-    TDFS_CHECK_MSG(values[i] != kEmptySlot,
+    const int32_t code = vgpu::AtomicExch(&slots_[pos], kEmptyCode);
+    TDFS_CHECK_MSG(code != kEmptyCode,
                    "dequeue hand-off found an empty slot");
-    vgpu::AtomicStore64(&laps_[pos], slot_ticket + capacity_);
+    values[i] = DecodeSlot(code);
+    vgpu::AtomicStore64(&laps_[pos], lap + capacity_);
   }
   task->v1 = values[0];
   task->v2 = values[1];
@@ -151,16 +166,17 @@ int64_t TaskQueue::DrainForReuse() {
   // 0 like a fresh one — warm-run traces stay slot-comparable to cold
   // runs. The caller guarantees quiescence, so plain stores suffice; the
   // slot check is the invariant that the drain really emptied the ring.
-  for (int32_t slot : slots_) {
-    TDFS_CHECK_MSG(slot == kEmptySlot,
+  // Positions at or past back_ were never touched since the last rewind
+  // and are still zero, so checking and resetting the prefix is total.
+  const int64_t touched = std::min<int64_t>(back_, capacity_);
+  for (int64_t pos = 0; pos < touched; ++pos) {
+    TDFS_CHECK_MSG(slots_[pos] == kEmptyCode,
                    "DrainForReuse left an occupied slot; the queue was not "
                    "quiescent");
+    laps_[pos] = 0;
   }
   front_ = 0;
   back_ = 0;
-  for (int32_t i = 0; i < capacity_; ++i) {
-    laps_[i] = i;
-  }
   return drained;
 }
 

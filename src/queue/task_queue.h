@@ -4,7 +4,10 @@
 //   <v1, v2, v3>  — three matched vertices, or
 //   <v1, v2, -2>  — two matched vertices (kNoThirdVertex placeholder),
 // stored in three consecutive int slots of a ring buffer of N ints
-// (N a multiple of 3). Empty slots hold -1 (kEmptySlot).
+// (N a multiple of 3). The ring is reserved at construction and committed
+// on first touch (see mem/lazy_region.h); its encodings make all-zero the
+// empty state, so a fresh mapping is already an empty ring. A slot holds
+// `value - kEmptySlot` (wrapping), so 0 means empty.
 //
 // The queue is operated by warps: `size` is adjusted first as admission
 // control, then `back`/`front` are advanced atomically to claim slot
@@ -28,8 +31,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
+#include "mem/lazy_region.h"
 #include "obs/metrics.h"
 #include "util/intersect.h"
 #include "util/status.h"
@@ -55,7 +58,9 @@ struct Task {
 
 class TaskQueue {
  public:
-  /// Default capacity from the paper: N = 3 million ints (1M tasks, 12 MB).
+  /// Default capacity from the paper: N = 3 million ints (1M tasks). The
+  /// ring and its lap guards reserve 36 MB; a run commits only the prefix
+  /// its tickets reach.
   static constexpr int32_t kDefaultCapacityInts = 3'000'000;
 
   /// `capacity_ints` must be a positive multiple of 3.
@@ -99,7 +104,9 @@ class TaskQueue {
 
   /// Pops and discards every admitted task, then rewinds the front/back
   /// tickets to 0 so the next run starts at slot 0 like a fresh queue
-  /// (warm-run traces stay slot-comparable to cold runs). For recycling an
+  /// (warm-run traces stay slot-comparable to cold runs). Only the prefix
+  /// of the ring the tickets reached is checked and reset; the rest was
+  /// never touched and is still zero. For recycling an
   /// idle queue between runs (a deadline-aborted run can leave tasks
   /// behind): call only when no warp is operating on the queue. Unlike
   /// Dequeue, never subject to failpoint injection — scrubbing must not be
@@ -129,12 +136,13 @@ class TaskQueue {
   bool DequeueInternal(Task* task);
 
   int32_t capacity_;
-  std::vector<int32_t> slots_;
-  // Per-slot lap guard: laps_[p] is the ticket of the next operation
+  // Encoded task ints: `value - kEmptySlot`, 0 = empty.
+  LazyRegion<int32_t> slots_;
+  // Per-slot lap guard: laps_[p] + p is the ticket of the next operation
   // allowed to touch slot p (the enqueue with that ticket; its matching
   // dequeue sees ticket + 1; the next lap's enqueue sees ticket +
-  // capacity).
-  std::vector<int64_t> laps_;
+  // capacity). Slot p's first enqueue ticket is p, so 0 means pristine.
+  LazyRegion<int64_t> laps_;
   // The paper's three control words, operated on through the CUDA-semantics
   // shim like the device-side original. back/front are 64-bit monotone
   // counters (reduced mod N on use) so they cannot wrap mid-run.

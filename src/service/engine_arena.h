@@ -1,8 +1,9 @@
 // Reusable per-device engine resources for the batch match service.
 //
-// Every cold RunMatching allocates and zero-fills a page pool (default
-// 4096 x 8 KB = 32 MB) and a task-queue ring (default 3M ints = 12 MB)
-// per device job. An EngineArena keeps a fixed set of slots — one page
+// Every cold RunMatching builds a page pool (default 4096 x 8 KB = 32 MB)
+// and a task-queue ring (default 3M ints) per device job; both are
+// reserved and committed on first touch, so a cold build costs a few
+// mappings. An EngineArena keeps a fixed set of slots — one page
 // allocator plus one task queue each — and leases them to device jobs,
 // which thread them into the engine through EngineConfig::resources.
 //

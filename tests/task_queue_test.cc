@@ -4,10 +4,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "rss_probe.h"
 
 namespace tdfs {
 namespace {
@@ -305,6 +308,93 @@ TEST(TaskQueueTest, PeakSizeTracksHighWaterMark) {
     q.Dequeue(&t);
   }
   EXPECT_EQ(q.PeakSizeInts() / 3, 8);
+}
+
+TEST(TaskQueueTest, ExtremeVertexIdsRoundTrip) {
+  // Slots are stored as `value - kEmptySlot`; the encoding must wrap
+  // cleanly at both ends of the id range.
+  TaskQueue q(9);
+  constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
+  ASSERT_TRUE(q.Enqueue(Task{kMax, 0, kNoThirdVertex}));
+  ASSERT_TRUE(q.Enqueue(Task{0, kMax - 1, kMax}));
+  Task t;
+  ASSERT_TRUE(q.Dequeue(&t));
+  EXPECT_EQ(t, (Task{kMax, 0, kNoThirdVertex}));
+  ASSERT_TRUE(q.Dequeue(&t));
+  EXPECT_EQ(t, (Task{0, kMax - 1, kMax}));
+}
+
+// Fills the whole ring, checks it rejects one more task, and drains it in
+// FIFO order.
+void ExpectFullLapIsFifo(TaskQueue& q, VertexId base) {
+  const VertexId tasks = q.capacity_ints() / 3;
+  for (VertexId i = 0; i < tasks; ++i) {
+    ASSERT_TRUE(q.Enqueue(Task{base + i, i, kNoThirdVertex}));
+  }
+  EXPECT_FALSE(q.Enqueue(Task{0, 0, 0}));
+  Task t;
+  for (VertexId i = 0; i < tasks; ++i) {
+    ASSERT_TRUE(q.Dequeue(&t));
+    EXPECT_EQ(t, (Task{base + i, i, kNoThirdVertex}));
+  }
+  EXPECT_FALSE(q.Dequeue(&t));
+}
+
+TEST(TaskQueueTest, DrainAfterSeveralLapsRewindsToPristineRing) {
+  TaskQueue q(9);  // 3 tasks
+  Task t;
+  // Ten pass-through tasks: the tickets run 3 1/3 laps round the ring.
+  for (VertexId i = 0; i < 10; ++i) {
+    ASSERT_TRUE(q.Enqueue(Task{i, i, i}));
+    ASSERT_TRUE(q.Dequeue(&t));
+    ASSERT_EQ(t.v1, i);
+  }
+  // Stop mid-ring with a task still in it.
+  ASSERT_TRUE(q.Enqueue(Task{77, 77, 77}));
+  EXPECT_EQ(q.BackTicket(), 33);
+  EXPECT_EQ(q.DrainForReuse(), 1);
+  EXPECT_EQ(q.FrontTicket(), 0);
+  EXPECT_EQ(q.BackTicket(), 0);
+  ExpectFullLapIsFifo(q, 100);
+  ExpectFullLapIsFifo(q, 200);
+}
+
+TEST(TaskQueueTest, PrefixResetLeavesNoStaleLap) {
+  // A short run touches a few slots of a large ring; the drain resets only
+  // that prefix, so a later full-capacity fill crosses both reset and
+  // never-touched slots (a stale lap guard would hang the enqueue).
+  TaskQueue q(300);
+  Task t;
+  ASSERT_TRUE(q.Enqueue(Task{1, 2, 3}));
+  ASSERT_TRUE(q.Enqueue(Task{4, 5, 6}));
+  ASSERT_TRUE(q.Dequeue(&t));
+  EXPECT_EQ(q.DrainForReuse(), 1);
+  ExpectFullLapIsFifo(q, 1000);
+  EXPECT_EQ(q.DrainForReuse(), 0);
+  ExpectFullLapIsFifo(q, 2000);
+}
+
+TEST(TaskQueueTest, RingIsCommittedOnFirstTouchOnly) {
+  if (!testing::RssTracksCommits()) {
+    GTEST_SKIP() << "sanitizer shadow memory makes RSS meaningless here";
+  }
+  constexpr int64_t kMiB = int64_t{1} << 20;
+  const int64_t before = testing::ResidentBytes();
+  TaskQueue q;  // default geometry: 3M ints
+  const int64_t constructed = testing::ResidentBytes();
+  EXPECT_LT(constructed - before, 2 * kMiB)
+      << "constructing the ring committed it";
+
+  constexpr VertexId kTasks = 100'000;
+  for (VertexId i = 0; i < kTasks; ++i) {
+    ASSERT_TRUE(q.Enqueue(Task{i, i, i}));
+  }
+  const int64_t grown = testing::ResidentBytes() - constructed;
+  // Each task fills three int32 slots and three int64 lap guards.
+  const int64_t touched_bytes = int64_t{kTasks} * 3 * (4 + 8);
+  EXPECT_GE(grown, touched_bytes * 3 / 4);
+  EXPECT_LE(grown, touched_bytes + 2 * kMiB);
+  EXPECT_EQ(q.DrainForReuse(), kTasks);
 }
 
 }  // namespace
