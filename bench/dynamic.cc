@@ -8,8 +8,8 @@
 //                 the new snapshot (what a system without incremental
 //                 maintenance must do).
 //   incremental — MatchService::ApplyUpdate: per-rank delta plans seeded
-//                 with only the batch's edges, warm plan cache + one
-//                 arena lease per batch.
+//                 with only the batch's edges, warm plan cache + the
+//                 service's reused update pool and queue.
 //
 // Counts are cross-checked after every batch: both modes must agree, and
 // the final counts must equal a from-scratch count on the final graph.

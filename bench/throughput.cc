@@ -7,13 +7,14 @@
 //              plan and builds a fresh page pool (32 MB) and task-queue
 //              ring (3M ints), both reserved and committed on first touch.
 //   warm-1w  — MatchService with ONE worker: isolates what the plan cache
-//              and engine-arena reuse buy, with no added concurrency.
+//              and the worker's reused pool and queue buy, with no added
+//              concurrency.
 //   warm     — MatchService with the full worker pool: reuse plus
 //              concurrent jobs instead of back-to-back execution.
 //
 // The table reports wall ms for the whole stream and queries/sec per row,
 // plus the speedup over cold. Counts are cross-checked: every mode must
-// report the identical total match count (arena reuse is bit-exact).
+// report the identical total match count (resource reuse is bit-exact).
 
 #include <future>
 #include <iostream>
@@ -100,7 +101,8 @@ std::string Qps(const ModeResult& mode, int64_t jobs) {
 int main() {
   tdfs::bench::PrintBanner(
       "throughput",
-      "Batch service: cold one-shot runs vs warm plan-cache + arena runs",
+      "Batch service: cold one-shot runs vs warm plan-cache + worker-pool "
+      "runs",
       "Stream of 24 jobs cycling P1/P2/P5 on BA(4000, 4); identical total "
       "counts required across modes.");
 

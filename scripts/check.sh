@@ -81,9 +81,10 @@ echo "== bench smoke (tight budget) =="
 TDFS_BENCH_BUDGET_MS=500 ./build/bench/tab01_datasets
 TDFS_BENCH_BUDGET_MS=500 ./build/bench/tab0708_stacks_youtube
 
-# Concurrency-focused tests for sanitizer runs. engine_arena_test reuses
-# leased queues across jobs, each reset only over the ring prefix it used.
-SAN_TESTS='task_queue_test page_allocator_test engine_arena_test atomics_test scheduler_test match_sink_test failpoint_test resilience_test'
+# Concurrency-focused tests for sanitizer runs. The dfs_engine_test subset
+# below adds the borrowed-resource cases (EngineResourcesTest.*): queues
+# reused across runs, each reset only over the ring prefix it used.
+SAN_TESTS='task_queue_test page_allocator_test atomics_test scheduler_test match_sink_test failpoint_test resilience_test'
 
 for flag in "$@"; do
   case "$flag" in
@@ -228,21 +229,23 @@ EOF
       ;;
     --service)
       # Service-layer pass: the batch subsystem is concurrency all the way
-      # down (LRU cache under racing Gets, arena leases across workers,
-      # futures fulfilled by whichever worker finishes last), so its tests
-      # run under ThreadSanitizer, plus the queue test that guards the
-      # occupancy accounting they depend on. Then one CLI batch smoke run
+      # down (LRU cache under racing Gets, per-worker pools and queues
+      # scrubbed between jobs, futures fulfilled by whichever worker
+      # finishes last), so its tests run under ThreadSanitizer, plus the
+      # queue test that guards the occupancy accounting they depend on and
+      # the engine's borrowed-resource cases. Then one CLI batch smoke run
       # proves the plumbing end to end.
       echo "== service =="
       cmake -B build-thread -G Ninja -DTDFS_SANITIZE=thread >/dev/null
-      for t in plan_cache_test engine_arena_test match_service_test \
-               task_queue_test; do
+      for t in plan_cache_test match_service_test task_queue_test \
+               dfs_engine_test; do
         cmake --build build-thread --target "$t"
       done
-      for t in plan_cache_test engine_arena_test match_service_test \
-               task_queue_test; do
+      for t in plan_cache_test match_service_test task_queue_test; do
         "./build-thread/tests/$t"
       done
+      ./build-thread/tests/dfs_engine_test \
+          --gtest_filter='EngineResourcesTest.*'
       SVC_TMP=$(mktemp -d)
       ./build/tools/tdfs generate --type ba --out "${SVC_TMP}/g.txt" \
           --vertices 2000 --attach 4 --seed 7 >/dev/null
@@ -523,9 +526,10 @@ EOF
   for t in ${SAN_TESTS}; do
     "./build-${SAN}/tests/$t"
   done
-  # One engine correctness pass under the sanitizer (subset: fast cases).
+  # One engine correctness pass under the sanitizer (subset: fast cases,
+  # plus the borrowed-resource adoption rules).
   "./build-${SAN}/tests/dfs_engine_test" \
-      --gtest_filter='TdfsEngineTest.MatchesOracleOnRandomGraph:TdfsEngineTest.TinyVirtualTimeout*'
+      --gtest_filter='TdfsEngineTest.MatchesOracleOnRandomGraph:TdfsEngineTest.TinyVirtualTimeout*:EngineResourcesTest.*'
 done
 
 echo "ALL CHECKS PASSED"

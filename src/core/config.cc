@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "mem/page_allocator.h"
+
 namespace tdfs {
 
 bool RetryableFailure(const Status& status) {
@@ -26,6 +28,13 @@ void ApplyRetryEscalation(EngineConfig* cfg, int next_attempt,
   } else {
     cfg->stack = StackKind::kArrayMaxDegree;  // always fits
   }
+}
+
+std::unique_ptr<PageAllocator> MakePageAllocator(const EngineConfig& config) {
+  return std::make_unique<PageAllocator>(
+      config.page_pool_pages, config.page_bytes,
+      SpillOptions{config.spill_to_host, config.max_spill_pages,
+                   config.governor});
 }
 
 const char* StealStrategyName(StealStrategy s) {

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,6 @@ namespace tdfs {
 
 class DeltaEdgeSet;    // query/plan.h
 class FilteredGraph;   // query/candidate_filter.h
-struct GraphStats;     // query/cost_planner.h
 class GraphPartition;  // graph/partition.h
 
 /// Load-balancing strategy for the warp-DFS engines (Fig. 11).
@@ -103,8 +103,9 @@ struct RetryPolicy {
 class MemoryGovernor;
 class PageAllocator;
 
-/// Borrowed per-run resources for engine reuse (the service layer's
-/// EngineArena hands these out). When EngineConfig::resources is set, the
+/// Borrowed per-run resources for engine reuse (each MatchService worker
+/// lends its own pair to every run it executes; the shard runner pre-seeds
+/// per-shard queues through them). When EngineConfig::resources is set, the
 /// engine adopts each resource *iff* its geometry matches the config
 /// (allocator: page count and page size; queue: capacity in ints) and
 /// falls back to fresh allocation otherwise — the retry escalation ladder
@@ -166,7 +167,6 @@ struct EngineConfig {
   /// Page pool size for StackKind::kPaged.
   int32_t page_pool_pages = 4096;
   int64_t page_bytes = 8192;
-  int32_t page_table_capacity = 40;
 
   /// The paper's optional page-release heuristic (free half a level's
   /// pages when at most a quarter are used). Off by default — the paper
@@ -255,12 +255,6 @@ struct EngineConfig {
   /// changes.
   PlannerKind planner = PlannerKind::kGreedy;
 
-  /// Optional precomputed stats for the cost planner (borrowed; must
-  /// outlive the run). When null and planner == kCost, entry points that
-  /// hold the data graph compute stats on the fly; contexts without a
-  /// graph at plan time fall back to the greedy order.
-  const GraphStats* graph_stats = nullptr;
-
   // ---- candidate prefiltering ----
   /// Candidate-prefiltering pipeline (query/prefilter_kind.h): before
   /// matching, per-query-vertex candidate sets are computed (LDF seeding,
@@ -284,10 +278,6 @@ struct EngineConfig {
   /// Global budget of child kernels per job (prevents explosion; beyond it
   /// subtrees are processed in place).
   int newkernel_max_kernels = 512;
-  /// Concurrent child kernels (a real device also bounds resident
-  /// kernels); beyond it subtrees are processed in place. Also keeps the
-  /// ephemeral child stacks from exhausting the shared page pool.
-  int newkernel_max_concurrent = 16;
   /// Emulated launch + per-kernel stack-allocation latency.
   int64_t newkernel_launch_overhead_ns = 200'000;
 
@@ -318,7 +308,7 @@ struct EngineConfig {
   int64_t span_track = 0;
   uint64_t span_parent = 0;
 
-  // ---- resource reuse (service layer) ----
+  // ---- resource reuse (service workers, shard runner) ----
   /// Borrowed page pool / task queue to run on instead of allocating
   /// fresh ones (see EngineResources above for the adoption rules). Null
   /// (the default) allocates per run. Not owned; must outlive the run.
@@ -404,6 +394,12 @@ bool RetryableFailure(const Status& status);
 /// escalates; device loss retries with the config unchanged.
 void ApplyRetryEscalation(EngineConfig* cfg, int next_attempt,
                           const Status& failure);
+
+/// A page pool at `config`'s geometry (page_pool_pages x page_bytes) with
+/// its spill tier (spill_to_host, max_spill_pages) accounted to
+/// config.governor — the pool the engine would allocate for this run, so
+/// a pool built here is adopted through EngineConfig::resources.
+std::unique_ptr<PageAllocator> MakePageAllocator(const EngineConfig& config);
 
 /// Presets (see file comment).
 EngineConfig TdfsConfig();

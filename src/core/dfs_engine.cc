@@ -66,7 +66,7 @@ struct SharedState {
   // Paged-stack page pool (null unless StackKind::kPaged) and T-DFS task
   // queue (null unless StealStrategy::kTimeout). The raw pointers are what
   // warps use; they target either the run-owned instances below or
-  // borrowed arena resources (config.resources) when those match the
+  // borrowed resources (config.resources) when those match the
   // config's geometry — see EngineResources in core/config.h.
   PageAllocator* allocator = nullptr;
   TaskQueue* queue = nullptr;
@@ -987,6 +987,10 @@ class WarpRunner {
 
   // ---- New Kernel strategy ----
 
+  // Resident child kernels per job; beyond it subtrees are processed in
+  // place.
+  static constexpr int kMaxConcurrentChildKernels = 16;
+
   bool SpawnChildKernel(int level) {
     if (shared_->kernel_budget.fetch_sub(1, std::memory_order_acq_rel) <=
         0) {
@@ -996,7 +1000,7 @@ class WarpRunner {
     // Bound *resident* kernels as the device would; this also keeps the
     // ephemeral child stacks from draining the shared page pool.
     if (shared_->kernels_active.fetch_add(1, std::memory_order_acq_rel) >=
-        config_.newkernel_max_concurrent) {
+        kMaxConcurrentChildKernels) {
       shared_->kernels_active.fetch_sub(1, std::memory_order_relaxed);
       shared_->kernel_budget.fetch_add(1, std::memory_order_relaxed);
       return false;
@@ -1329,8 +1333,7 @@ class WarpRunner {
 template <>
 PagedWarpStack WarpRunner<PagedWarpStack>::MakeStack(
     SharedState<PagedWarpStack>& shared) {
-  return PagedWarpStack(shared.allocator, shared.plan->num_vertices,
-                        shared.config->page_table_capacity);
+  return PagedWarpStack(shared.allocator, shared.plan->num_vertices);
 }
 
 template <>
@@ -1535,7 +1538,7 @@ RunResult RunDfsEngineT(const Graph& graph, const MatchPlan& plan,
   }
 
   // ---- shared structures ----
-  // Borrowed arena resources are adopted only when their geometry matches
+  // Borrowed resources are adopted only when their geometry matches
   // the config — the retry escalation ladder grows page_pool_pages, and a
   // stale-sized borrowed pool must never shadow that. Adopted resources
   // get their stats reset (per-run peaks) and their observability sink
@@ -1548,28 +1551,23 @@ RunResult RunDfsEngineT(const Graph& graph, const MatchPlan& plan,
         borrowed->page_bytes() == config.page_bytes &&
         borrowed->spill_enabled() == config.spill_to_host) {
       if (borrowed->PagesInUse() != 0) {
-        // A pristine lease has zero pages out; nonzero means a previous
+        // An idle pool has zero pages out; nonzero means a previous
         // borrower leaked. ResetStats would rebaseline the peak to the
         // leak and hide it, so refuse the resources instead — loudly and
-        // non-retryably (the same lease would fail every attempt).
+        // non-retryably (the same pool would fail every attempt).
         result.counters.adoption_rejects = 1;
         result.total_ms = total_timer.ElapsedMillis();
         result.status = Status::FailedPrecondition(
             "borrowed page allocator has " +
             std::to_string(borrowed->PagesInUse()) +
             " pages still in use; refusing adoption (leaked by a previous "
-            "lease)");
+            "borrower)");
         return result;
       }
       borrowed->ResetStats();
       shared.allocator = borrowed;
     } else {
-      SpillOptions spill;
-      spill.enabled = config.spill_to_host;
-      spill.max_spill_pages = config.max_spill_pages;
-      spill.governor = config.governor;
-      shared.owned_allocator = std::make_unique<PageAllocator>(
-          config.page_pool_pages, config.page_bytes, spill);
+      shared.owned_allocator = MakePageAllocator(config);
       shared.allocator = shared.owned_allocator.get();
     }
     shared.allocator->AttachObs(
@@ -1659,7 +1657,7 @@ RunResult RunDfsEngineT(const Graph& graph, const MatchPlan& plan,
     result.counters.stack_bytes_peak =
         shared.allocator->PeakPagesInUse() * shared.allocator->page_bytes() +
         static_cast<int64_t>(config.num_warps) * plan.num_vertices *
-            config.page_table_capacity *
+            PagedWarpStack::kDefaultPageTableCapacity *
             static_cast<int64_t>(sizeof(PageId));
   }
   result.counters.stack_overflow =

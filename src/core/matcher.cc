@@ -48,15 +48,11 @@ Result<MatchPlan> PlanForConfig(const QueryGraph& query,
     }
   }
   GraphStats local_stats;
-  if (config.planner == PlannerKind::kCost) {
-    if (config.graph_stats != nullptr) {
-      options.stats = config.graph_stats;
-    } else if (graph != nullptr) {
-      local_stats = GraphStats::Compute(*graph);
-      options.stats = &local_stats;
-    }
-    // Neither available: CompilePlan falls back to the greedy order.
+  if (config.planner == PlannerKind::kCost && graph != nullptr) {
+    local_stats = GraphStats::Compute(*graph);
+    options.stats = &local_stats;
   }
+  // Cost planning without a graph falls back to the greedy order.
   return CompilePlan(query, options);
 }
 

@@ -59,9 +59,9 @@ void RecordPrefilterStats(const FilteredGraph& fg, double build_ms,
 PlanOptions PlanOptionsFor(const EngineConfig& config);
 
 /// Compiles the plan implied by `config` for this query. When
-/// config.planner == kCost, GraphStats are taken from config.graph_stats
-/// or computed from `graph` on the fly (one O(n) pass). With a null graph
-/// and no precomputed stats the cost planner degrades to greedy.
+/// config.planner == kCost, GraphStats are computed from `graph` on the
+/// fly (one O(n) pass); with a null graph the cost planner degrades to
+/// greedy.
 Result<MatchPlan> PlanForConfig(const QueryGraph& query,
                                 const EngineConfig& config,
                                 const Graph* graph = nullptr);

@@ -126,7 +126,7 @@ struct RunCounters {
   int64_t pressure_pages_released = 0;  // pages freed by pressure release
   int64_t deferred_tasks = 0;      // tasks re-enqueued instead of failing
   int64_t adoption_rejects = 0;    // borrowed resources refused because a
-                                   // previous lease leaked pages
+                                   // previous borrower leaked pages
   int32_t attempts = 1;            // engine executions per device job
                                    // (>1 = retry/escalation kicked in)
   bool degraded_mode = false;      // ran with pressure measures engaged

@@ -60,8 +60,8 @@ struct IncrementalOptions {
   /// Null = compile per call.
   PlanProvider plan_provider;
 
-  /// Borrowed warm engine resources (arena lease) reused across the
-  /// per-rank runs. Null = allocate per run.
+  /// Borrowed warm engine resources (the service's update pair) reused
+  /// across the per-rank runs. Null = allocate per run.
   const EngineResources* resources = nullptr;
 
   /// dyn.* counters (dyn.delta_plans_run, dyn.seed_edges). Null disables.

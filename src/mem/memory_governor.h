@@ -1,7 +1,7 @@
 // System-wide memory budget authority.
 //
-// Every PageAllocator (and therefore every EngineArena slot) registers its
-// committed arena bytes with a MemoryGovernor; page alloc/free traffic is
+// Every PageAllocator (and therefore every MatchService worker's pool)
+// registers its committed arena bytes with a MemoryGovernor; page alloc/free traffic is
 // mirrored as in-use deltas. From those two numbers plus outstanding
 // admission reservations the governor derives a pressure level:
 //

@@ -3,10 +3,10 @@
 // Warp rings (obs/trace.h) answer "what did warp 3 do at work-unit 10k";
 // they cannot answer "where did this job's 40 ms go" because a job crosses
 // subsystems that have no warp: admission, plan-cache compile, governor
-// reservation waits, arena leasing, result merge. A SpanLedger records
-// those stages as begin/end spans with explicit parent ids, so the whole
-// submit → admission → mem-reserve → plan → lease → engine-run → merge →
-// finalize chain reconstructs as one tree per job and lands on the same
+// reservation waits, result merge. A SpanLedger records those stages as
+// begin/end spans with explicit parent ids, so the whole
+// submit → admission → plan → mem-reserve → engine-run → merge → finalize
+// chain reconstructs as one tree per job and lands on the same
 // Chrome-trace timeline as the warp events (TraceSession owns a ledger
 // and merges it into WriteChromeTrace as balanced B/E events).
 //
@@ -139,8 +139,8 @@ class SpanLedger {
 
 /// Where a subsystem call should hang its spans: which ledger, which
 /// timeline row, which parent span. Passed by value down call chains
-/// (PlanCache::GetWithDemand, MemoryGovernor::ReserveBytes,
-/// EngineArena::Acquire take one as a defaulted trailing parameter); a
+/// (PlanCache::GetWithDemand and MemoryGovernor::ReserveBytes take one as
+/// a defaulted trailing parameter); a
 /// default-constructed context is inert and costs a pointer test.
 struct SpanContext {
   SpanLedger* ledger = nullptr;

@@ -23,27 +23,52 @@ std::future<RunResult> ImmediateFailure(Status status) {
   return promise.get_future();
 }
 
-// Arena slots inherit the service's governor when the config does not
-// name one, so spill accounting and admission share one authority.
-ArenaOptions ArenaOptionsFor(const EngineConfig& config,
-                             const ServiceOptions& options) {
-  ArenaOptions arena = ArenaOptions::FromConfig(config);
-  if (arena.governor == nullptr) {
-    arena.governor = options.governor;
+EngineConfig WithGovernor(EngineConfig config, MemoryGovernor* governor) {
+  if (config.governor == nullptr) {
+    config.governor = governor;
   }
-  return arena;
+  return config;
 }
 
 }  // namespace
 
+MatchService::WorkerResources::WorkerResources(const EngineConfig& config) {
+  if (config.stack == StackKind::kPaged) {
+    allocator = MakePageAllocator(config);
+    view.allocator = allocator.get();
+  }
+  if (config.steal == StealStrategy::kTimeout) {
+    queue = std::make_unique<TaskQueue>(config.queue_capacity_ints);
+    view.queue = queue.get();
+  }
+}
+
+void MatchService::WorkerResources::Scrub(const EngineConfig& config) {
+  // The run is over, so the pair is quiescent. A deadline-aborted or
+  // failed run can leave admitted tasks in the queue; the next run must
+  // start from empty or its work-token accounting would see ghost tasks.
+  if (queue != nullptr) {
+    queue->DrainForReuse();
+  }
+  // The engine returns every page before completing (stacks release on
+  // destruction). If that invariant is ever broken, rebuild the pool
+  // rather than hand the next run a partially checked-out one.
+  if (allocator != nullptr && allocator->PagesInUse() != 0) {
+    TDFS_LOG(Warning) << "match service pool scrubbed with "
+                      << allocator->PagesInUse()
+                      << " pages in use; rebuilding it";
+    allocator = MakePageAllocator(config);
+    view.allocator = allocator.get();
+  }
+}
+
 MatchService::MatchService(const Graph& graph, const EngineConfig& config,
                            const ServiceOptions& options)
     : dynamic_graph_(graph),
-      config_(config),
+      config_(WithGovernor(config, options.governor)),
       options_(options),
       plan_cache_(options.plan_cache_capacity),
-      arena_(std::max(options.num_workers, 1),
-             ArenaOptionsFor(config, options)) {
+      update_resources_(config_) {
   const int workers = std::max(options_.num_workers, 1);
   workers_.reserve(workers);
   for (int i = 0; i < workers; ++i) {
@@ -65,7 +90,6 @@ MatchService::~MatchService() {
 
 void MatchService::AttachMetrics(obs::MetricsRegistry* metrics) {
   plan_cache_.AttachMetrics(metrics);
-  arena_.AttachMetrics(metrics);
   std::lock_guard<std::mutex> lock(mu_);
   if (metrics == nullptr) {
     obs_submitted_ = obs_rejected_ = obs_completed_ = nullptr;
@@ -99,8 +123,6 @@ const char* MatchService::StageName(Stage stage) {
       return "queue_wait";
     case Stage::kMemReserve:
       return "mem_reserve";
-    case Stage::kArenaLease:
-      return "arena_lease";
     case Stage::kEngineRun:
       return "engine_run";
     case Stage::kMerge:
@@ -256,6 +278,7 @@ std::future<RunResult> MatchService::Submit(const QueryGraph& query,
 }
 
 void MatchService::WorkerLoop() {
+  WorkerResources resources(config_);
   for (;;) {
     DeviceItem item;
     {
@@ -267,7 +290,8 @@ void MatchService::WorkerLoop() {
       item = std::move(items_.front());
       items_.pop_front();
     }
-    RunDeviceItem(item);
+    RunDeviceItem(item, &resources.view);
+    resources.Scrub(config_);
   }
 }
 
@@ -373,7 +397,8 @@ int64_t MatchService::ProjectedDemandPages(const JobState& job) const {
                               tau_scale));
 }
 
-void MatchService::RunDeviceItem(DeviceItem& item) {
+void MatchService::RunDeviceItem(DeviceItem& item,
+                                 const EngineResources* resources) {
   JobState& job = *item.job;
   const double queue_ms = item.queued.ElapsedMillis();
   item.queue_span.End();
@@ -385,7 +410,7 @@ void MatchService::RunDeviceItem(DeviceItem& item) {
   const obs::SpanContext ctx{ledger, item.track, job.root_span_id};
   RunResult result;
   // Memory admission: secure this slice's share of the job's projected
-  // demand before leasing engine resources. Under pressure the worker
+  // demand before running the engine. Under pressure the worker
   // joins the governor's waiters queue up to the reserve timeout (capped
   // by the job's own deadline) instead of failing immediately; only an
   // expired wait fails the slice.
@@ -420,26 +445,19 @@ void MatchService::RunDeviceItem(DeviceItem& item) {
           std::string(MemPressureName(gov->Pressure())) + ")");
     }
   }
-  double lease_ms = 0.0;
   double engine_ms = 0.0;
   if (result.status.ok() && !prefilter_empty) {
-    // Lease arena resources for exactly the duration of the engine run.
-    // The engine falls back to fresh allocation when the lease's geometry
-    // no longer matches (e.g. after retry escalation grew the pool).
-    stage_timer.Reset();
-    EngineArena::Lease lease = arena_.Acquire(ctx);
-    lease_ms = stage_timer.ElapsedMillis();
-    RecordStage(Stage::kArenaLease, lease_ms);
+    // The engine runs on the worker's own pool and queue, and falls back
+    // to fresh allocation when their geometry no longer matches (e.g.
+    // after retry escalation grew the pool).
     EngineConfig device_config = job.config;
-    device_config.resources = lease.resources();
+    device_config.resources = resources;
     device_config.span_track = item.track;
     device_config.span_parent = job.root_span_id;
-    if (device_config.governor == nullptr) {
-      device_config.governor = options_.governor;
-    }
     // A prefiltered job runs over the candidate-induced CSR and consults
     // the membership bitsets through config.prefiltered. (A sharded job's
-    // single slice builds its own per-shard arenas; the lease goes unused.)
+    // single slice builds its own per-shard arenas; the worker's pair
+    // goes unused.)
     device_config.prefiltered = job.filtered.get();
     const Graph& data =
         job.filtered != nullptr ? job.filtered->graph() : *job.snapshot;
@@ -466,7 +484,6 @@ void MatchService::RunDeviceItem(DeviceItem& item) {
     };
     note(Stage::kQueueWait, queue_ms);
     note(Stage::kMemReserve, reserve_ms);
-    note(Stage::kArenaLease, lease_ms);
     note(Stage::kEngineRun, engine_ms);
     last = --job.devices_remaining == 0;
   }
@@ -627,16 +644,16 @@ Result<MatchService::BatchUpdateReport> MatchService::ApplyUpdate(
   report.edges_inserted = static_cast<int64_t>(delta.insertions().size());
   report.edges_deleted = static_cast<int64_t>(delta.deletions().size());
 
-  // One warm arena lease and the shared plan cache serve every query's
-  // maintenance in this batch — the repeated-batch path pays neither
-  // allocation nor plan compilation.
-  EngineArena::Lease lease = arena_.Acquire();
+  // The service's update pair and the shared plan cache serve every
+  // query's maintenance in this batch — the repeated-batch path pays
+  // neither allocation nor plan compilation. The pair is scrubbed after
+  // each query's runs, as a worker scrubs its own after each slice.
   dyn::IncrementalOptions inc_options;
   inc_options.plan_provider = [this](const QueryGraph& q,
                                      const PlanOptions& po) {
     return plan_cache_.Get(q, po);
   };
-  inc_options.resources = lease.resources();
+  inc_options.resources = &update_resources_.view;
   inc_options.metrics = metrics;
   inc_options.trace = trace;
 
@@ -648,6 +665,7 @@ Result<MatchService::BatchUpdateReport> MatchService::ApplyUpdate(
     qd.old_count = cq.count;
     Result<dyn::DeltaCountReport> inc = dyn::CountDeltaMatches(
         *pre, *post.value(), cq.query, delta, config_, inc_options);
+    update_resources_.Scrub(config_);
     if (inc.ok()) {
       qd.lost = inc.value().lost;
       qd.gained = inc.value().gained;
@@ -671,9 +689,10 @@ Result<MatchService::BatchUpdateReport> MatchService::ApplyUpdate(
         return plan.status();
       }
       EngineConfig recount_config = config_;
-      recount_config.resources = lease.resources();
+      recount_config.resources = &update_resources_.view;
       const RunResult full =
           RunMatchingPlanned(*post.value(), *plan.value(), recount_config);
+      update_resources_.Scrub(config_);
       if (!full.status.ok()) {
         return full.status;
       }
@@ -712,7 +731,6 @@ MatchService::Stats MatchService::GetStats() const {
   stats.completed = completed_.load(std::memory_order_relaxed);
   stats.plan_cache_hits = plan_cache_.hits();
   stats.plan_cache_misses = plan_cache_.misses();
-  stats.arena_acquires = arena_.total_acquires();
   stats.batches_applied = batches_applied_.load(std::memory_order_relaxed);
   stats.reservation_timeouts =
       reservation_timeouts_.load(std::memory_order_relaxed);

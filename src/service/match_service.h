@@ -1,7 +1,7 @@
 // Asynchronous batch matching: the one-shot matcher as a throughput engine.
 //
-// A MatchService owns a worker pool, a PlanCache, and an EngineArena, and
-// serves counting jobs against one data graph:
+// A MatchService owns a worker pool and a PlanCache, and serves counting
+// jobs against one data graph:
 //
 //   tdfs::MatchService service(graph, tdfs::TdfsConfig());
 //   std::future<tdfs::RunResult> f = service.Submit(query);
@@ -10,14 +10,15 @@
 // Concurrency model. Submit compiles (or cache-hits) the plan on the
 // caller's thread and enqueues one work item per device slice — a
 // multi-device job is decomposed into NumDeviceSlices(config) independent
-// items that share a JobState. Workers pull items, lease arena resources,
-// and run RunMatchingDevice (the per-slice retry/escalation unit, or the
-// whole sharded job); the worker that finishes a job's last slice merges
-// them with MergeSlices, the merge RunMatchingPlanned uses, and fulfills
-// the promise. No worker ever waits on
-// another job's completion and leases are held only while an engine runs,
-// so the pool cannot deadlock; slices of different jobs (and of the same
-// job) run concurrently instead of back-to-back.
+// items that share a JobState. Workers pull items and run RunMatchingDevice
+// (the per-slice retry/escalation unit, or the whole sharded job) on the
+// page pool and task queue each worker owns for its lifetime, as each GPU
+// in the paper reuses its own pool and Q_task for every kernel; the worker
+// that finishes a job's last slice merges them with MergeSlices, the merge
+// RunMatchingPlanned uses, and fulfills the promise. No worker ever waits
+// on another job's completion or on another worker's resources, so the
+// pool cannot deadlock; slices of different jobs (and of the same job) run
+// concurrently instead of back-to-back.
 //
 // Admission control bounds jobs in flight (queued + running): Submit
 // returns an already-failed future (kResourceExhausted) beyond the bound
@@ -33,8 +34,8 @@
 // exposed to a half-applied (or later) batch. ApplyUpdate(delta)
 // publishes the next graph version and incrementally maintains the
 // counts of all registered continuous queries (dyn/incremental.h),
-// reusing the plan cache for per-rank delta plans and one arena lease
-// for the whole batch — this is the warm path BENCH_dynamic measures
+// reusing the plan cache for per-rank delta plans and the service's own
+// update pool and queue — this is the warm path BENCH_dynamic measures
 // against full recounts. If incremental maintenance fails for a query
 // (e.g. an engine deadline), that query falls back to a full recount on
 // the new snapshot, so registered counts never go stale silently.
@@ -56,20 +57,21 @@
 #include "core/matcher.h"
 #include "dyn/dynamic_graph.h"
 #include "mem/memory_governor.h"
+#include "mem/page_allocator.h"
 #include "dyn/graph_delta.h"
 #include "dyn/incremental.h"
 #include "query/candidate_filter.h"
 #include "obs/prometheus.h"
 #include "obs/span.h"
-#include "service/engine_arena.h"
+#include "queue/task_queue.h"
 #include "service/plan_cache.h"
 #include "util/timer.h"
 
 namespace tdfs {
 
 struct ServiceOptions {
-  /// Worker threads executing device slices (also the arena slot count,
-  /// so Acquire never blocks a worker).
+  /// Worker threads executing device slices. Each owns one page pool and
+  /// task queue at the config's geometry for its whole lifetime.
   int num_workers = 4;
 
   /// Jobs admitted but not yet completed. Submissions beyond this are
@@ -82,7 +84,7 @@ struct ServiceOptions {
   /// has max_run_ms == 0). 0 = unlimited.
   double default_deadline_ms = 0.0;
 
-  /// Budget authority for memory admission control and the arena's spill
+  /// Budget authority for memory admission control and the workers' spill
   /// accounting. Null falls back to EngineConfig::governor, then the
   /// process-global governor (inert unless given a budget).
   MemoryGovernor* governor = nullptr;
@@ -137,13 +139,12 @@ class MatchService {
     kSnapshot,       // graph snapshot + demand projection
     kQueueWait,      // device slice queued for a worker
     kMemReserve,     // governor admission reservation
-    kArenaLease,     // arena slot wait
     kEngineRun,      // RunMatchingDevice (incl. retries)
     kMerge,          // device-slice merge
     kFinalize,       // demand record + promise fulfillment
     kDeltaApply,     // one ApplyUpdate batch
   };
-  static constexpr int kNumStages = 10;
+  static constexpr int kNumStages = 9;
   static const char* StageName(Stage stage);
 
   struct Stats {
@@ -152,7 +153,6 @@ class MatchService {
     int64_t completed = 0;  // futures fulfilled (any status)
     int64_t plan_cache_hits = 0;
     int64_t plan_cache_misses = 0;
-    int64_t arena_acquires = 0;
     int64_t batches_applied = 0;      // ApplyUpdate successes
     int64_t continuous_queries = 0;   // currently registered
     /// Device slices whose memory reservation timed out (job failed with
@@ -243,11 +243,10 @@ class MatchService {
   int64_t GraphVersion() const;
 
   PlanCache* plan_cache() { return &plan_cache_; }
-  EngineArena* arena() { return &arena_; }
 
-  /// Mirrors service/cache/arena counters into `metrics`
-  /// (service.jobs_{submitted,rejected,completed} plus the cache and
-  /// arena counter families).
+  /// Mirrors service and cache counters into `metrics`
+  /// (service.jobs_{submitted,rejected,completed} plus the cache counter
+  /// family).
   void AttachMetrics(obs::MetricsRegistry* metrics);
 
  private:
@@ -307,8 +306,25 @@ class MatchService {
     Timer queued;
   };
 
+  /// One page pool + task queue at the service config's geometry (each
+  /// null when the config's engine does not use it). Every worker owns one
+  /// for its lifetime and ApplyUpdate owns another; runs borrow it through
+  /// EngineConfig::resources.
+  struct WorkerResources {
+    explicit WorkerResources(const EngineConfig& config);
+
+    /// Readies the pair for the next run: drains the tasks a
+    /// deadline-aborted or failed run left in the queue, and rebuilds a
+    /// pool that still has pages checked out rather than reuse it.
+    void Scrub(const EngineConfig& config);
+
+    std::unique_ptr<PageAllocator> allocator;
+    std::unique_ptr<TaskQueue> queue;
+    EngineResources view;
+  };
+
   void WorkerLoop();
-  void RunDeviceItem(DeviceItem& item);
+  void RunDeviceItem(DeviceItem& item, const EngineResources* resources);
   void FinalizeJob(JobState* job);
 
   /// Observes one stage duration into the always-on histogram (and the
@@ -344,6 +360,9 @@ class MatchService {
   };
 
   dyn::DynamicGraph dynamic_graph_;
+  /// The job template, naming ServiceOptions::governor when it names no
+  /// governor itself, so spill accounting and admission share one
+  /// authority.
   const EngineConfig config_;
   const ServiceOptions options_;
 
@@ -373,11 +392,11 @@ class MatchService {
   std::map<std::string, FilteredEntry> filtered_cache_;
 
   PlanCache plan_cache_;
-  EngineArena arena_;
 
   /// Serializes ApplyUpdate and RegisterContinuousQuery (a registration's
   /// initial count must not interleave with a batch).
   mutable std::mutex update_mu_;
+  WorkerResources update_resources_;               // guarded by update_mu_
   std::map<int64_t, ContinuousQuery> continuous_;  // guarded by update_mu_
   int64_t next_query_id_ = 1;                      // guarded by update_mu_
   int64_t delta_track_ = 0;                        // guarded by update_mu_

@@ -147,10 +147,7 @@ RunResult RunShardedAttempt(const MatchPlan& plan,
   exchange.num_shards = use_exchange ? num_shards : 0;
   for (size_t s = 0; s < n; ++s) {
     if (config.stack == StackKind::kPaged) {
-      allocators[s] = std::make_unique<PageAllocator>(
-          config.page_pool_pages, config.page_bytes,
-          SpillOptions{config.spill_to_host, config.max_spill_pages,
-                       config.governor});
+      allocators[s] = MakePageAllocator(config);
       allocators[s]->SetNumaNode(NumaNodeFor(config, static_cast<int>(s)));
       resources[s].allocator = allocators[s].get();
     }

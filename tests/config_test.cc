@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/result.h"
+#include "mem/warp_stack.h"
 
 namespace tdfs {
 namespace {
@@ -16,7 +17,8 @@ TEST(ConfigTest, TdfsDefaultsMatchPaper) {
   EXPECT_EQ(c.queue_capacity_ints, 3'000'000);  // N = 3M ints (12 MB)
   EXPECT_EQ(c.stop_level, 3);                   // StopLevel
   EXPECT_EQ(c.page_bytes, 8192);                // 8 KiB pages
-  EXPECT_EQ(c.page_table_capacity, 40);         // 40 addresses per level
+  EXPECT_EQ(PagedWarpStack::kDefaultPageTableCapacity,
+            40);                                // 40 addresses per level
   EXPECT_TRUE(c.use_symmetry_breaking);
   EXPECT_TRUE(c.use_reuse);
   EXPECT_TRUE(c.use_degree_filter);

@@ -4,6 +4,7 @@
 
 #include "core/matcher.h"
 #include "graph/generators.h"
+#include "mem/page_allocator.h"
 #include "query/automorphism.h"
 #include "query/patterns.h"
 
@@ -265,6 +266,182 @@ TEST(TdfsEngineTest, DisconnectedQueryRejected) {
   RunResult r = RunMatching(g, q, TdfsConfig());
   EXPECT_FALSE(r.status.ok());
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+}
+
+// ---- borrowed resources (EngineConfig::resources) ----
+// A MatchService worker lends its own page pool and task queue to every
+// run; these pin the engine's adoption rules that make that safe.
+
+EngineConfig SmallPoolConfig() {
+  EngineConfig config = TdfsConfig();
+  config.num_warps = 4;
+  config.page_pool_pages = 256;
+  config.page_bytes = 1024;
+  config.queue_capacity_ints = 3 * 1024;
+  return config;
+}
+
+// An owned pool + queue at `config`'s geometry, as a service worker holds.
+struct OwnedPair {
+  explicit OwnedPair(const EngineConfig& config)
+      : allocator(MakePageAllocator(config)),
+        queue(std::make_unique<TaskQueue>(config.queue_capacity_ints)),
+        view{allocator.get(), queue.get()} {}
+  std::unique_ptr<PageAllocator> allocator;
+  std::unique_ptr<TaskQueue> queue;
+  EngineResources view;
+};
+
+TEST(EngineResourcesTest, WarmRunsMatchColdRunsExactly) {
+  // One warp on the virtual clock: work_units replay exactly, so reuse
+  // must leave both the count and the work bit-identical, run after run.
+  Graph g = GenerateBarabasiAlbert(500, 4, 12);
+  EngineConfig config = SmallPoolConfig();
+  config.num_warps = 1;
+  config.clock = ClockKind::kVirtual;
+  config.timeout_work_units = 256;  // decompose, so the queue is used
+  OwnedPair pair(config);
+  EngineConfig warm = config;
+  warm.resources = &pair.view;
+  for (int pattern : {1, 2, 5}) {
+    const RunResult cold = RunMatching(g, Pattern(pattern), config);
+    ASSERT_TRUE(cold.status.ok()) << cold.status;
+    for (int round = 0; round < 2; ++round) {
+      const RunResult r = RunMatching(g, Pattern(pattern), warm);
+      ASSERT_TRUE(r.status.ok()) << r.status;
+      EXPECT_EQ(r.match_count, cold.match_count) << PatternName(pattern);
+      EXPECT_EQ(r.counters.work_units, cold.counters.work_units)
+          << PatternName(pattern);
+      pair.queue->DrainForReuse();
+    }
+  }
+}
+
+TEST(EngineResourcesTest, AdoptedStatsResetBetweenRuns) {
+  // Per-run peak counters must not leak from an earlier, heavier run into
+  // a later, lighter one on the same pool. The exact peak is
+  // timing-dependent (it counts warps concurrently holding pages), so the
+  // leak detector is an inequality: without the reset at adoption the
+  // light run would report at least the heavy run's peak.
+  Graph g = GenerateBarabasiAlbert(500, 4, 12);
+  EngineConfig config = SmallPoolConfig();
+  const RunResult cold_light = RunMatching(g, Pattern(1), config);
+  ASSERT_TRUE(cold_light.status.ok()) << cold_light.status;
+
+  OwnedPair pair(config);
+  EngineConfig warm = config;
+  warm.resources = &pair.view;
+  const RunResult heavy = RunMatching(g, Pattern(8), warm);
+  ASSERT_TRUE(heavy.status.ok()) << heavy.status;
+  ASSERT_GT(heavy.counters.pages_peak, cold_light.counters.pages_peak)
+      << "workload mix no longer separates heavy from light";
+  pair.queue->DrainForReuse();
+  const RunResult light = RunMatching(g, Pattern(1), warm);
+  ASSERT_TRUE(light.status.ok()) << light.status;
+  EXPECT_LT(light.counters.pages_peak, heavy.counters.pages_peak)
+      << "peak stat leaked from the previous run";
+}
+
+TEST(EngineResourcesTest, GeometryMismatchFallsBackToFreshAllocation) {
+  Graph g = GenerateBarabasiAlbert(500, 4, 12);
+  EngineConfig config = SmallPoolConfig();
+  const RunResult cold = RunMatching(g, Pattern(2), config);
+  ASSERT_TRUE(cold.status.ok()) << cold.status;
+
+  // Resources sized for a DIFFERENT geometry: the engine must leave them
+  // untouched and still count exactly.
+  EngineConfig other = config;
+  other.page_pool_pages = config.page_pool_pages * 2;
+  other.queue_capacity_ints = config.queue_capacity_ints * 2;
+  OwnedPair pair(other);
+  EngineConfig warm = config;
+  warm.resources = &pair.view;
+  const RunResult r = RunMatching(g, Pattern(2), warm);
+  ASSERT_TRUE(r.status.ok()) << r.status;
+  EXPECT_EQ(r.match_count, cold.match_count);
+  EXPECT_EQ(pair.allocator->PeakPagesInUse(), 0);
+  EXPECT_EQ(pair.queue->BackTicket(), 0);
+}
+
+TEST(EngineResourcesTest, AdoptionRejectsLeakedPagesLoudly) {
+  Graph g = GenerateBarabasiAlbert(200, 4, 12);
+  EngineConfig config = SmallPoolConfig();
+  OwnedPair pair(config);
+  // Simulate a leaky previous borrower: a page is still out when the next
+  // run tries to adopt. ResetStats would silently rebaseline the peak to
+  // this leak; the engine must instead refuse the resources.
+  const PageId leaked = pair.allocator->AllocPage();
+  ASSERT_NE(leaked, kNullPage);
+  EngineConfig warm = config;
+  warm.resources = &pair.view;
+  const RunResult r = RunMatching(g, Pattern(1), warm);
+  EXPECT_EQ(r.status.code(), StatusCode::kFailedPrecondition) << r.status;
+  EXPECT_EQ(r.counters.adoption_rejects, 1);
+  // With the leak repaired the same pool works again.
+  pair.allocator->FreePage(leaked);
+  const RunResult ok = RunMatching(g, Pattern(1), warm);
+  EXPECT_TRUE(ok.status.ok()) << ok.status;
+}
+
+TEST(EngineResourcesTest, ScrubRewindsQueueTicketsToOrigin) {
+  // A warm run leaves the borrowed queue's tickets mid-ring. The owner's
+  // scrub (DrainForReuse) must rewind them, so the next run's traffic
+  // lands on the same slots as on a cold queue: one warp on the virtual
+  // clock replays the ticket trace exactly.
+  Graph g = GenerateBarabasiAlbert(500, 4, 12);
+  EngineConfig config = SmallPoolConfig();
+  config.num_warps = 1;
+  config.clock = ClockKind::kVirtual;
+  config.timeout_work_units = 256;
+  OwnedPair pair(config);
+  EngineConfig warm = config;
+  warm.resources = &pair.view;
+
+  const RunResult first = RunMatching(g, Pattern(2), warm);
+  ASSERT_TRUE(first.status.ok()) << first.status;
+  const int64_t back_after_first = pair.queue->BackTicket();
+  ASSERT_GT(back_after_first, 0) << "the run never used the queue";
+  EXPECT_EQ(pair.queue->DrainForReuse(), 0) << "a clean run left tasks";
+  EXPECT_EQ(pair.queue->FrontTicket(), 0);
+  EXPECT_EQ(pair.queue->BackTicket(), 0);
+  EXPECT_EQ(pair.queue->ApproxSize(), 0);
+
+  const RunResult second = RunMatching(g, Pattern(2), warm);
+  ASSERT_TRUE(second.status.ok()) << second.status;
+  EXPECT_EQ(pair.queue->BackTicket(), back_after_first);
+  EXPECT_EQ(second.match_count, first.match_count);
+}
+
+TEST(EngineResourcesTest, NullMembersFallBackToFreshAllocation) {
+  // A view may lend only one of the pair (a worker under an array-stack or
+  // no-steal config holds none of the other). The engine must adopt what
+  // is lent and allocate the rest itself. The virtual clock makes the
+  // run decompose into queue tasks deterministically.
+  Graph g = GenerateBarabasiAlbert(500, 4, 12);
+  EngineConfig config = SmallPoolConfig();
+  config.clock = ClockKind::kVirtual;
+  config.timeout_work_units = 256;
+  const RunResult cold = RunMatching(g, Pattern(2), config);
+  ASSERT_TRUE(cold.status.ok()) << cold.status;
+
+  OwnedPair pair(config);
+  EngineResources pool_only{pair.allocator.get(), nullptr};
+  EngineConfig warm = config;
+  warm.resources = &pool_only;
+  const RunResult r1 = RunMatching(g, Pattern(2), warm);
+  ASSERT_TRUE(r1.status.ok()) << r1.status;
+  EXPECT_EQ(r1.match_count, cold.match_count);
+  EXPECT_GT(pair.allocator->PeakPagesInUse(), 0) << "lent pool not adopted";
+  EXPECT_EQ(pair.queue->BackTicket(), 0) << "unlent queue was touched";
+
+  EngineResources queue_only{nullptr, pair.queue.get()};
+  warm.resources = &queue_only;
+  pair.allocator->ResetStats();
+  const RunResult r2 = RunMatching(g, Pattern(2), warm);
+  ASSERT_TRUE(r2.status.ok()) << r2.status;
+  EXPECT_EQ(r2.match_count, cold.match_count);
+  EXPECT_EQ(pair.allocator->PeakPagesInUse(), 0) << "unlent pool was touched";
+  EXPECT_GT(pair.queue->BackTicket(), 0) << "lent queue not adopted";
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -71,7 +72,6 @@ TEST_F(MatchServiceTest, AsyncResultsMatchOneShotRuns) {
   EXPECT_EQ(stats.completed, 9);
   EXPECT_EQ(stats.plan_cache_misses, 3);
   EXPECT_EQ(stats.plan_cache_hits, 6);
-  EXPECT_GE(stats.arena_acquires, 9);
 }
 
 TEST_F(MatchServiceTest, MultiDeviceJobsMergeLikeTheSyncPath) {
@@ -174,6 +174,66 @@ TEST_F(MatchServiceTest, PerJobDeadlineAborts) {
 
   RunResult fine = service.Submit(Pattern(1)).get();
   EXPECT_TRUE(fine.status.ok()) << fine.status;
+}
+
+TEST_F(MatchServiceTest, AbortedJobLeavesNoTasksForTheNextJob) {
+  // One worker, so both jobs run on the same page pool and task queue.
+  // The first job decomposes into queue tasks (tiny virtual tau) that its
+  // warps cannot dequeue (failpoint), and its deadline ends it with them
+  // still queued; the worker's scrub must hand the next job an empty
+  // queue, or it would run the ghost tasks. One warp on the virtual clock
+  // makes work_units replayable against a direct run.
+  config_.num_warps = 1;
+  config_.clock = ClockKind::kVirtual;
+  config_.timeout_work_units = 16;
+  const RunResult direct = RunMatching(*graph_, Pattern(2), config_);
+  ASSERT_TRUE(direct.status.ok()) << direct.status;
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  MatchService service(*graph_, config_, options);
+  JobOptions strangled;
+  strangled.deadline_ms = 1e-9;
+  fail::Arm("queue_dequeue", fail::Trigger::Always());
+  const RunResult aborted = service.Submit(Pattern(8), strangled).get();
+  fail::DisarmAll();
+  ASSERT_EQ(aborted.status.code(), StatusCode::kDeadlineExceeded);
+  ASSERT_GT(aborted.counters.tasks_enqueued, aborted.counters.tasks_dequeued)
+      << "the aborted job left no queued tasks behind";
+
+  // (Without the scrub this run does not finish.)
+  const RunResult next = service.Submit(Pattern(2)).get();
+  ASSERT_TRUE(next.status.ok()) << next.status;
+  EXPECT_EQ(next.match_count, direct.match_count);
+  EXPECT_EQ(next.counters.work_units, direct.counters.work_units);
+}
+
+TEST_F(MatchServiceTest, UnpooledConfigJobsMatchDirectRuns) {
+  // Under an array stack with no stealing a worker holds neither a page
+  // pool nor a task queue; its jobs must run on the engine's own
+  // allocation and still equal direct runs, job after job.
+  config_.stack = StackKind::kArrayMaxDegree;
+  config_.steal = StealStrategy::kNone;
+  std::vector<uint64_t> expected;
+  for (int pattern : {1, 2, 5}) {
+    const RunResult r = RunMatching(*graph_, Pattern(pattern), config_);
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    expected.push_back(r.match_count);
+  }
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  MatchService service(*graph_, config_, options);
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const int pattern = i == 0 ? 1 : (i == 1 ? 2 : 5);
+      const RunResult r = service.Submit(Pattern(pattern)).get();
+      ASSERT_TRUE(r.status.ok()) << r.status;
+      EXPECT_EQ(r.match_count, expected[i])
+          << PatternName(pattern) << " round " << round;
+      EXPECT_EQ(r.counters.tasks_enqueued, 0);
+    }
+  }
 }
 
 TEST_F(MatchServiceTest, PerJobFailuresDoNotPoisonTheService) {
@@ -315,6 +375,65 @@ TEST_F(MatchServiceTest, InFlightJobsKeepTheirSnapshot) {
   EXPECT_EQ(r2.match_count, after.match_count);
 }
 
+TEST_F(MatchServiceTest, UpdatesAndJobsRunConcurrentlyOnOneWorker) {
+  // ApplyUpdate runs on the service's own pool and queue, never on a
+  // worker's, so batches and jobs interleave freely even with a single
+  // worker. Every job must count one of the versions it could have
+  // snapshotted, and the maintained count must match a full recount.
+  ServiceOptions options;
+  options.num_workers = 1;
+  MatchService service(*graph_, config_, options);
+  Result<int64_t> id = service.RegisterContinuousQuery(Pattern(2));
+  ASSERT_TRUE(id.ok()) << id.status();
+
+  constexpr int kBatches = 3;
+  std::vector<std::shared_ptr<const Graph>> versions = {service.Snapshot()};
+  Status update_status;
+  std::thread updater([&] {
+    for (int batch = 0; batch < kBatches; ++batch) {
+      const dyn::GraphDelta delta =
+          ServiceTestDelta(*service.Snapshot(), 4, 3, 300 + batch);
+      Result<MatchService::BatchUpdateReport> report =
+          service.ApplyUpdate(delta);
+      if (!report.ok()) {
+        update_status = report.status();
+        return;
+      }
+      versions.push_back(service.Snapshot());
+    }
+  });
+  std::vector<std::future<RunResult>> futures;
+  for (int i = 0; i < 12; ++i) {
+    futures.push_back(service.Submit(Pattern(2)));
+  }
+  std::vector<RunResult> results;
+  for (auto& f : futures) {
+    results.push_back(f.get());
+  }
+  updater.join();
+  ASSERT_TRUE(update_status.ok()) << update_status;
+  ASSERT_EQ(versions.size(), static_cast<size_t>(kBatches + 1));
+  EXPECT_EQ(service.GraphVersion(), kBatches);
+
+  std::vector<uint64_t> version_counts;
+  for (const auto& g : versions) {
+    const RunResult r = RunMatching(*g, Pattern(2), config_);
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    version_counts.push_back(r.match_count);
+  }
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].status.ok()) << "job " << i << ": "
+                                        << results[i].status;
+    EXPECT_NE(std::find(version_counts.begin(), version_counts.end(),
+                        results[i].match_count),
+              version_counts.end())
+        << "job " << i << " counted " << results[i].match_count;
+  }
+  Result<uint64_t> maintained = service.ContinuousQueryCount(id.value());
+  ASSERT_TRUE(maintained.ok()) << maintained.status();
+  EXPECT_EQ(maintained.value(), version_counts.back());
+}
+
 TEST_F(MatchServiceTest, ApplyUpdateRejectsInvalidBatches) {
   MatchService service(*graph_, config_);
   // Re-inserting an edge the graph already has is invalid.
@@ -444,7 +563,7 @@ TEST_F(MatchServiceTest, StatsCarryStageLatencyPercentiles) {
   // Every submit-to-finalize stage ran for every job.
   for (const char* name :
        {"admission", "plan_cache", "snapshot", "queue_wait", "mem_reserve",
-        "arena_lease", "engine_run", "merge", "finalize"}) {
+        "engine_run", "merge", "finalize"}) {
     EXPECT_NE(std::find(seen.begin(), seen.end(), name), seen.end())
         << "missing stage " << name;
   }
@@ -520,8 +639,7 @@ TEST_F(MatchServiceTest, SlowQueryLogBreaksDownJobLatency) {
   double stage_sum = 0.0;
   for (const char* stage :
        {"admission:", "plan_cache:", "snapshot:", "queue_wait:",
-        "mem_reserve:", "arena_lease:", "engine_run:", "merge:",
-        "finalize:"}) {
+        "mem_reserve:", "engine_run:", "merge:", "finalize:"}) {
     stage_sum += number_after(stage);
   }
   EXPECT_GT(total_ms, 0.0);
@@ -647,8 +765,8 @@ TEST_F(MatchServiceTest, JobsRecordSpanTreesOnTheTrace) {
       }
     }
   }
-  for (const char* name : {"admission", "snapshot", "queue_wait",
-                           "arena_lease", "merge", "finalize"}) {
+  for (const char* name :
+       {"admission", "snapshot", "queue_wait", "merge", "finalize"}) {
     EXPECT_NE(std::find(children.begin(), children.end(), name),
               children.end())
         << "span " << name << " not under the job root";

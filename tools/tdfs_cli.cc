@@ -13,11 +13,13 @@
 // format of query/query_io.h. Run `tdfs help` for this text.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -48,7 +50,15 @@
 namespace tdfs::cli {
 namespace {
 
-// --key value argument map; positional args rejected.
+// A malformed numeric flag value. The Args getters throw it and Main turns
+// it into an InvalidArgument exit, so a bad value never reaches a command
+// as a silent 0 or an out-of-range count.
+struct BadFlag {
+  Status status;
+};
+
+// --key value argument map; positional args rejected. Numeric getters
+// parse strictly and throw BadFlag.
 class Args {
  public:
   static Result<Args> Parse(int argc, char** argv, int first) {
@@ -83,16 +93,45 @@ class Args {
   }
 
   int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+    return GetNumber(key, fallback, "an integer");
   }
 
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return GetNumber(key, fallback, "a number");
+  }
+
+  /// A count of warps, devices or workers: an int of at least 1.
+  int GetCount(const std::string& key, int fallback) const {
+    constexpr int kMax = std::numeric_limits<int>::max();
+    const int64_t value = GetInt(key, fallback);
+    if (value < 1 || value > kMax) {
+      throw BadFlag{Status::InvalidArgument(
+          "--" + key + " must be between 1 and " + std::to_string(kMax) +
+          ", got " + values_.at(key))};
+    }
+    return static_cast<int>(value);
   }
 
  private:
+  // The whole value as a number: empty values, trailing text and
+  // out-of-range numbers throw.
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback, const char* what) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) {
+      return fallback;
+    }
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+      throw BadFlag{Status::InvalidArgument(
+          "--" + key + " wants " + what + ", got '" + text + "'")};
+    }
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -172,8 +211,9 @@ void PrintUsage() {
                [--trace-out trace.json] service spans + warp events
         batch.txt: one query per line — a pattern name (P1..P22) or a
         path to a query file; '#' starts a comment. Jobs run through the
-        match service (plan cache + reusable engine arenas + async
-        worker pool); results stream out as a JSON array in input order.
+        match service (plan cache + async worker pool, each worker
+        reusing its own page pool and task queue); results stream out as
+        a JSON array in input order.
         --trace-out merges every job's service-stage spans and warp
         timelines into one Perfetto/chrome://tracing file.
   tdfs stream  --graph G.txt --updates U.txt
@@ -200,6 +240,9 @@ void PrintUsage() {
         page to stdout without binding a port.
   tdfs kclique --graph G.txt --k K [--warps N]
   tdfs mce     --graph G.txt [--warps N]
+
+  Numeric flags take plain numbers (no trailing text); --warps, --devices
+  and --workers take integers of at least 1.
 )";
 }
 
@@ -298,9 +341,8 @@ int CmdStats(const Args& args) {
 }
 
 EngineConfig ConfigFromArgs(const Args& args, EngineConfig config) {
-  config.num_warps = static_cast<int>(args.GetInt("warps", config.num_warps));
-  config.num_devices =
-      static_cast<int>(args.GetInt("devices", config.num_devices));
+  config.num_warps = args.GetCount("warps", config.num_warps);
+  config.num_devices = args.GetCount("devices", config.num_devices);
   config.timeout_ms = args.GetDouble("tau", config.timeout_ms);
   if (args.Has("tau-units")) {
     // Deterministic timeouts: tau in virtual work units instead of wall
@@ -616,7 +658,7 @@ int CmdBatch(const Args& args) {
 
   ServiceOptions service_options;
   service_options.num_workers =
-      static_cast<int>(args.GetInt("workers", service_options.num_workers));
+      args.GetCount("workers", service_options.num_workers);
   service_options.max_pending_jobs = static_cast<int>(
       args.GetInt("max-pending", service_options.max_pending_jobs));
   service_options.plan_cache_capacity =
@@ -691,8 +733,7 @@ int CmdBatch(const Args& args) {
                             : 0.0)
             << "\n"
             << "plan cache:   " << stats.plan_cache_hits << " hits / "
-            << stats.plan_cache_misses << " misses\n"
-            << "arena leases: " << stats.arena_acquires << "\n";
+            << stats.plan_cache_misses << " misses\n";
   const int failed = static_cast<int>(results.size()) - ok_jobs;
   return failed == 0 ? 0 : 1;
 }
@@ -731,8 +772,7 @@ int CmdServe(const Args& args) {
   }
   EngineConfig config = ConfigFromArgs(args, TdfsConfig());
   ServiceOptions options;
-  options.num_workers =
-      static_cast<int>(args.GetInt("workers", options.num_workers));
+  options.num_workers = args.GetCount("workers", options.num_workers);
   options.slow_query_ms = args.GetDouble("slow-ms", options.slow_query_ms);
   const int port = static_cast<int>(args.GetInt("metrics-port", 0));
   const double duration_ms = args.GetDouble("duration-ms", 10000.0);
@@ -1013,7 +1053,7 @@ int CmdStream(const Args& args) {
   EngineConfig config = ConfigFromArgs(args, TdfsConfig());
   ServiceOptions service_options;
   service_options.num_workers =
-      static_cast<int>(args.GetInt("workers", service_options.num_workers));
+      args.GetCount("workers", service_options.num_workers);
 
   MatchService service(graph.value(), config, service_options);
   std::vector<int64_t> ids;
@@ -1161,50 +1201,57 @@ int CmdMce(const Args& args) {
   return 0;
 }
 
+int RunCommand(const std::string& command, const Args& args) {
+  if (command == "generate") {
+    return CmdGenerate(args);
+  }
+  if (command == "dataset") {
+    return CmdDataset(args);
+  }
+  if (command == "stats") {
+    return CmdStats(args);
+  }
+  if (command == "match") {
+    return CmdMatch(args);
+  }
+  if (command == "batch") {
+    return CmdBatch(args);
+  }
+  if (command == "serve") {
+    return CmdServe(args);
+  }
+  if (command == "metrics") {
+    return CmdMetrics(args);
+  }
+  if (command == "stream") {
+    return CmdStream(args);
+  }
+  if (command == "kclique") {
+    return CmdKClique(args);
+  }
+  if (command == "mce") {
+    return CmdMce(args);
+  }
+  std::cerr << "unknown command '" << command << "'\n";
+  PrintUsage();
+  return 1;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2 || std::string(argv[1]) == "help" ||
       std::string(argv[1]) == "--help") {
     PrintUsage();
     return argc < 2 ? 1 : 0;
   }
-  const std::string command = argv[1];
   auto args = Args::Parse(argc, argv, 2);
   if (!args.ok()) {
     return ReportAndExit(args.status());
   }
-  if (command == "generate") {
-    return CmdGenerate(args.value());
+  try {
+    return RunCommand(argv[1], args.value());
+  } catch (const BadFlag& bad) {
+    return ReportAndExit(bad.status);
   }
-  if (command == "dataset") {
-    return CmdDataset(args.value());
-  }
-  if (command == "stats") {
-    return CmdStats(args.value());
-  }
-  if (command == "match") {
-    return CmdMatch(args.value());
-  }
-  if (command == "batch") {
-    return CmdBatch(args.value());
-  }
-  if (command == "serve") {
-    return CmdServe(args.value());
-  }
-  if (command == "metrics") {
-    return CmdMetrics(args.value());
-  }
-  if (command == "stream") {
-    return CmdStream(args.value());
-  }
-  if (command == "kclique") {
-    return CmdKClique(args.value());
-  }
-  if (command == "mce") {
-    return CmdMce(args.value());
-  }
-  std::cerr << "unknown command '" << command << "'\n";
-  PrintUsage();
-  return 1;
 }
 
 }  // namespace
