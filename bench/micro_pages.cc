@@ -53,7 +53,7 @@ void BM_PagedStackWriteRead(benchmark::State& state) {
   PagedWarpStack stack(&alloc, 4);
   for (auto _ : state) {
     for (int64_t i = 0; i < n; ++i) {
-      stack.Set(2, i, static_cast<VertexId>(i));
+      stack.TrySet(2, i, static_cast<VertexId>(i));
     }
     VertexId sum = 0;
     for (int64_t i = 0; i < n; ++i) {
@@ -65,12 +65,35 @@ void BM_PagedStackWriteRead(benchmark::State& state) {
 }
 BENCHMARK(BM_PagedStackWriteRead)->Arg(64)->Arg(2048)->Arg(65536);
 
+// The same traffic as whole-level page runs (WriteLevel, StoredLevel), as
+// the DFS engine now moves levels: one table lookup and copy per page.
+void BM_PagedStackRunWriteRead(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  PageAllocator alloc(256);
+  PagedWarpStack stack(&alloc, 4);
+  std::vector<VertexId> values(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    values[i] = static_cast<VertexId>(i);
+  }
+  std::vector<VertexId> scratch;
+  for (auto _ : state) {
+    stack.WriteLevel(2, VertexSpan(values));
+    VertexId sum = 0;
+    for (VertexId v : stack.StoredLevel(2, n, &scratch)) {
+      sum += v;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n * 2);
+}
+BENCHMARK(BM_PagedStackRunWriteRead)->Arg(64)->Arg(2048)->Arg(65536);
+
 void BM_ArrayStackWriteRead(benchmark::State& state) {
   const int64_t n = state.range(0);
   ArrayWarpStack stack(4, 65536);
   for (auto _ : state) {
     for (int64_t i = 0; i < n; ++i) {
-      stack.Set(2, i, static_cast<VertexId>(i));
+      stack.TrySet(2, i, static_cast<VertexId>(i));
     }
     VertexId sum = 0;
     for (int64_t i = 0; i < n; ++i) {

@@ -81,10 +81,12 @@ echo "== bench smoke (tight budget) =="
 TDFS_BENCH_BUDGET_MS=500 ./build/bench/tab01_datasets
 TDFS_BENCH_BUDGET_MS=500 ./build/bench/tab0708_stacks_youtube
 
-# Concurrency-focused tests for sanitizer runs. The dfs_engine_test subset
-# below adds the borrowed-resource cases (EngineResourcesTest.*): queues
-# reused across runs, each reset only over the ring prefix it used.
-SAN_TESTS='task_queue_test page_allocator_test atomics_test scheduler_test match_sink_test failpoint_test resilience_test'
+# Concurrency-focused tests for sanitizer runs, plus the stack, candidate
+# and intersection tests (page runs are copied and read through raw
+# pointers). The dfs_engine_test subset below adds the borrowed-resource
+# cases (EngineResourcesTest.*): queues reused across runs, each reset only
+# over the ring prefix it used.
+SAN_TESTS='task_queue_test page_allocator_test atomics_test scheduler_test match_sink_test failpoint_test resilience_test warp_stack_test candidates_test intersect_backend_test'
 
 for flag in "$@"; do
   case "$flag" in
@@ -527,9 +529,10 @@ EOF
     "./build-${SAN}/tests/$t"
   done
   # One engine correctness pass under the sanitizer (subset: fast cases,
-  # plus the borrowed-resource adoption rules).
+  # the borrowed-resource adoption rules, and the kernel paths that copy
+  # whole page runs through raw pointers).
   "./build-${SAN}/tests/dfs_engine_test" \
-      --gtest_filter='TdfsEngineTest.MatchesOracleOnRandomGraph:TdfsEngineTest.TinyVirtualTimeout*:EngineResourcesTest.*'
+      --gtest_filter='TdfsEngineTest.MatchesOracleOnRandomGraph:TdfsEngineTest.TinyVirtualTimeout*:EngineResourcesTest.*:KernelPathTest.*'
 done
 
 echo "ALL CHECKS PASSED"

@@ -15,7 +15,6 @@
 #ifndef TDFS_CORE_CANDIDATES_H_
 #define TDFS_CORE_CANDIDATES_H_
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -23,11 +22,13 @@
 #include "graph/hub_bitmap.h"
 #include "graph/label_index.h"
 #include "query/plan.h"
+#include "query/query_graph.h"
 #include "util/intersect.h"
 
 namespace tdfs {
 
-/// Ping-pong buffers reused across candidate computations by one warp.
+/// Ping-pong buffers reused across candidate computations by one warp;
+/// `base` holds a stored level gathered across pages (StoredLevel).
 struct CandidateScratch {
   std::vector<VertexId> a;
   std::vector<VertexId> b;
@@ -137,46 +138,45 @@ inline VertexSpan BackwardNeighborList(const Graph& graph,
   return graph.Neighbors(matched);
 }
 
-/// Intersects a stored stack level (accessed element-wise through `get`,
-/// which models the paged read the GPU performs *in place* — Alg. 5's
-/// operator[]) with a sorted neighbor list, appending to `out`. Chooses
-/// between merge, probing the list into the base (binary search over
-/// `get`), and probing the base into the list, by the 32x size-ratio
-/// heuristic. The base must be sorted ascending and duplicate-free, which
-/// stored candidate sets are (they are intersections of sorted lists).
+/// Intersects a stored stack level `base` (a span over the page it lies in,
+/// or its page-by-page gather when it spans pages — see StoredLevel in
+/// mem/warp_stack.h) with a sorted neighbor list, appending to `out`.
+/// Chooses between merge, probing the list into the base (binary search),
+/// and probing the base into the list, by the 32x size-ratio heuristic.
+/// The base must be sorted ascending and duplicate-free, which stored
+/// candidate sets are (they are intersections of sorted lists).
 ///
 /// `list_owner`/`list_label` identify whose adjacency bucket `list` is so
 /// the bitmap backend can engage (owner -1 when it is not an adjacency
-/// list). On SIMD/bitmap backends the merge arm first gathers the paged
-/// base into `gather_scratch` (unmetered, like get() itself); the
-/// binary-search arm stays scalar on every backend — the paged base has no
-/// contiguous layout to vectorize and its charge defines the work model.
-template <typename GetFn>
-void IntersectStoredBase(const IntersectDispatch& isect, int64_t base_size,
-                         GetFn&& get, VertexSpan list, VertexId list_owner,
-                         Label list_label,
-                         std::vector<VertexId>* gather_scratch,
-                         std::vector<VertexId>* out, WorkCounter* work) {
-  if (base_size == 0 || list.empty()) {
+/// list). The merge arm runs the dispatch's merge kernel (SIMD or bitmap
+/// where available) on the base in place; the binary-search and probe arms
+/// keep their scalar loops, whose step charges define the work model.
+inline void IntersectStoredBase(const IntersectDispatch& isect,
+                                VertexSpan base, VertexSpan list,
+                                VertexId list_owner, Label list_label,
+                                std::vector<VertexId>* out,
+                                WorkCounter* work) {
+  if (base.empty() || list.empty()) {
     return;
   }
+  const size_t base_size = base.size();
   uint64_t steps = 0;
-  if (list.size() * 32 < static_cast<size_t>(base_size)) {
+  if (list.size() * 32 < base_size) {
     // Small list: binary-search each element in the stored base.
-    int64_t lo = 0;
+    size_t lo = 0;
     for (VertexId x : list) {
-      int64_t l = lo;
-      int64_t r = base_size;
+      size_t l = lo;
+      size_t r = base_size;
       while (l < r) {
-        const int64_t m = l + (r - l) / 2;
+        const size_t m = l + (r - l) / 2;
         ++steps;
-        if (get(m) < x) {
+        if (base[m] < x) {
           l = m + 1;
         } else {
           r = m;
         }
       }
-      if (l < base_size && get(l) == x) {
+      if (l < base_size && base[l] == x) {
         out->push_back(x);
         lo = l + 1;
       } else {
@@ -187,13 +187,12 @@ void IntersectStoredBase(const IntersectDispatch& isect, int64_t base_size,
         break;
       }
     }
-  } else if (static_cast<size_t>(base_size) < list.size() / 32) {
+  } else if (base_size < list.size() / 32) {
     // Small base: probe each stored element against the list. A bitmap
     // over the list answers each probe in O(1) but charges the same
     // binary-search cost SortedContains would.
     const HubBitmapView* bm = isect.Bitmap(list_owner, list_label);
-    for (int64_t i = 0; i < base_size; ++i) {
-      const VertexId v = get(i);
+    for (VertexId v : base) {
       ++steps;
       if (bm != nullptr) {
         if (work != nullptr) {
@@ -206,62 +205,25 @@ void IntersectStoredBase(const IntersectDispatch& isect, int64_t base_size,
         out->push_back(v);
       }
     }
+  } else if (const HubBitmapView* bm = isect.Bitmap(list_owner, list_label);
+             bm != nullptr) {
+    // Comparable sizes: merge. Every kernel charges the scalar merge's
+    // step count (MergeStepsWork), so the backend never moves work_units.
+    BitmapMergeInto(base, list, *bm, out, work);
   } else {
-    const HubBitmapView* bm = isect.Bitmap(list_owner, list_label);
-    if (bm == nullptr && isect.simd_level() == SimdLevel::kScalar) {
-      // Comparable sizes: linear merge over sequential paged reads.
-      int64_t i = 0;
-      size_t j = 0;
-      VertexId v = get(0);
-      while (true) {
-        ++steps;
-        if (v < list[j]) {
-          if (++i >= base_size) {
-            break;
-          }
-          v = get(i);
-        } else if (v > list[j]) {
-          if (++j >= list.size()) {
-            break;
-          }
-        } else {
-          out->push_back(v);
-          ++j;
-          if (++i >= base_size || j >= list.size()) {
-            break;
-          }
-          v = get(i);
-        }
-      }
-    } else {
-      // SIMD/bitmap merge arm: gather the paged level into contiguous
-      // scratch first, then run the backend kernel. The charge
-      // (MergeStepsWork) equals the scalar in-place loop's step count.
-      gather_scratch->clear();
-      gather_scratch->reserve(static_cast<size_t>(base_size));
-      for (int64_t i = 0; i < base_size; ++i) {
-        gather_scratch->push_back(get(i));
-      }
-      const VertexSpan base_span(*gather_scratch);
-      if (bm != nullptr) {
-        BitmapMergeInto(base_span, list, *bm, out, work);
-      } else {
-        isect.kernels().merge(base_span, list, out, work);
-      }
-    }
+    isect.kernels().merge(base, list, out, work);
   }
   if (work != nullptr) {
     work->Add(steps);
   }
 }
 
-/// Scalar-backend compatibility overload (no bitmap, no gather).
-template <typename GetFn>
-void IntersectStoredBase(int64_t base_size, GetFn&& get, VertexSpan list,
-                         std::vector<VertexId>* out, WorkCounter* work) {
-  IntersectStoredBase(IntersectDispatch(), base_size,
-                      std::forward<GetFn>(get), list, /*list_owner=*/-1,
-                      kNoLabel, /*gather_scratch=*/nullptr, out, work);
+/// Scalar-backend overload (no bitmap).
+inline void IntersectStoredBase(VertexSpan base, VertexSpan list,
+                                std::vector<VertexId>* out,
+                                WorkCounter* work) {
+  IntersectStoredBase(IntersectDispatch(), base, list, /*list_owner=*/-1,
+                      kNoLabel, out, work);
 }
 
 /// Computes the candidates of `pos` into `out` (cleared first) from the
@@ -291,18 +253,20 @@ inline void ComputeCandidates(const Graph& graph, const LabelIndex* index,
     VertexSpan span;
     VertexId owner;
   };
-  std::vector<OwnedList> lists;
-  lists.reserve(backward.size());
+  // Ascending size so the intersection shrinks as early as possible. The
+  // insertion is stable: equal-size lists keep their backward order, which
+  // fixes the chain — and so work_units — for any tie.
+  OwnedList lists[QueryGraph::kMaxQueryVertices];
+  size_t num_lists = 0;
   for (int b : backward) {
-    lists.push_back(
-        {BackwardNeighborList(graph, index, match[b], label, work),
-         match[b]});
+    const OwnedList entry{
+        BackwardNeighborList(graph, index, match[b], label, work), match[b]};
+    size_t at = num_lists++;
+    for (; at > 0 && entry.span.size() < lists[at - 1].span.size(); --at) {
+      lists[at] = lists[at - 1];
+    }
+    lists[at] = entry;
   }
-  // Ascending size so the intersection shrinks as early as possible.
-  std::sort(lists.begin(), lists.end(), [](const OwnedList& x,
-                                           const OwnedList& y) {
-    return x.span.size() < y.span.size();
-  });
 
   // Labels already applied when reading through the index; with CSR lists
   // the *smallest* list is label-filtered up front ("we also filter
@@ -311,7 +275,7 @@ inline void ComputeCandidates(const Graph& graph, const LabelIndex* index,
   // every later result label-correct for free.
   const bool need_label_pass = index == nullptr && label != kNoLabel;
 
-  if (lists.size() == 1) {
+  if (num_lists == 1) {
     internal::CopyWithLabelFilter(graph, lists[0].span,
                                   need_label_pass ? label : kNoLabel, out,
                                   work);
@@ -330,7 +294,7 @@ inline void ComputeCandidates(const Graph& graph, const LabelIndex* index,
     isect.Auto(lists[0].span, lists[1].span, lists[1].owner, lookup_label,
                &scratch->a, work);
   }
-  for (size_t l = first_unmerged; l < lists.size(); ++l) {
+  for (size_t l = first_unmerged; l < num_lists; ++l) {
     next->clear();
     isect.Auto(VertexSpan(*current), lists[l].span, lists[l].owner,
                lookup_label, next, work);

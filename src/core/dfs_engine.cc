@@ -181,7 +181,8 @@ class WarpRunner {
         size_(k_, 0),
         limit_(k_, 0),
         iter_(k_, 0),
-        match_(k_, -1) {}
+        match_(k_, -1),
+        leaf_scan_(LeafNeedsScan(*shared)) {}
 
   // Registers this warp's trace track (one timeline row per warp) and
   // routes the stack's page events through it. Called after construction,
@@ -256,8 +257,11 @@ class WarpRunner {
         MaybePromoteSpilled();
         continue;
       }
+      // An idle warp reads the clock itself: if every warp is waiting on
+      // tokens no task will return, no DFS step is left to notice the
+      // deadline for them.
       if (shared_->work_items->load(std::memory_order_acquire) == 0 ||
-          shared_->Expired()) {
+          DeadlinePassed()) {
         break;
       }
       // Spin-then-park adaptive backoff (see kIdleSpinPolls).
@@ -614,8 +618,16 @@ class WarpRunner {
     if (shared_->deadline_ns == 0) {
       return false;
     }
-    if ((++deadline_probe_ & 0x3FF) == 0 &&
-        Timer::Now() > shared_->deadline_ns) {
+    if ((++deadline_probe_ & 0x3FF) == 0) {
+      return DeadlinePassed();
+    }
+    return shared_->Expired();
+  }
+
+  // Reads the clock; once the deadline has passed, raises the sticky job
+  // (and exchange) flags so every warp unwinds. Returns Expired().
+  bool DeadlinePassed() {
+    if (shared_->deadline_ns != 0 && Timer::Now() > shared_->deadline_ns) {
       if (!shared_->Expired()) {
         tracer_.Event(obs::TraceEvent::kDeadlineFire);
       }
@@ -632,10 +644,69 @@ class WarpRunner {
   // warp lane performs.
   bool Valid(int pos, VertexId v) {
     work_.Add(1);
+    return Admits(pos, v);
+  }
+
+  bool Admits(int pos, VertexId v) const {
     return PrefilterAdmits(config_.prefiltered, plan_.order[pos], v) &&
            PassesConsumeChecks(plan_, graph_, match_.data(), pos, v,
                                config_.use_degree_filter,
                                config_.delta_edges);
+  }
+
+  // True when the last position needs a per-candidate check: matches are
+  // emitted one by one, or some check depends on more than a candidate's
+  // id. Degree is implied when min_degree <= |backward|: every candidate
+  // lies in the adjacency of each (distinct) backward match.
+  static bool LeafNeedsScan(const SharedState<Stack>& shared) {
+    const MatchPlan& plan = *shared.plan;
+    const EngineConfig& config = *shared.config;
+    const int last = plan.num_vertices - 1;
+    return shared.sink != nullptr || config.prefiltered != nullptr ||
+           plan.induced ||
+           (config.delta_edges != nullptr && !plan.delta_forbidden.empty() &&
+            !plan.delta_forbidden[last].empty()) ||
+           (config.use_degree_filter &&
+            plan.min_degree[last] >
+                static_cast<int>(plan.backward[last].size()));
+  }
+
+  // Counts (and, with a sink, emits) the valid candidates among the first
+  // `limit` stored at the last position. Charges one unit per candidate,
+  // as a Valid() scan does, but reads the sorted level as one span: the
+  // symmetry restrictions cut it to a window by binary search, and
+  // injectivity removes the matched vertices found in that window (at
+  // most k-1, each distinct). Only the checks listed in LeafNeedsScan
+  // visit candidates one by one, and then only inside the window.
+  uint64_t CountLeaf(int64_t limit) {
+    const int pos = k_ - 1;
+    work_.Add(static_cast<uint64_t>(limit));
+    const VertexSpan cands = stack_.StoredLevel(pos, limit, &scratch_.base);
+    auto first = cands.begin();
+    auto last = cands.end();
+    for (int j : plan_.greater_than[pos]) {
+      first = std::upper_bound(first, last, match_[j]);
+    }
+    for (int j : plan_.smaller_than[pos]) {
+      last = std::lower_bound(first, last, match_[j]);
+    }
+    if (leaf_scan_) {
+      uint64_t found = 0;
+      for (auto it = first; it != last; ++it) {
+        if (Admits(pos, *it)) {
+          ++found;
+          if (shared_->sink != nullptr && !shared_->sink->Full()) {
+            EmitMatch(*it);
+          }
+        }
+      }
+      return found;
+    }
+    uint64_t found = static_cast<uint64_t>(last - first);
+    for (int j = 0; j < pos && found > 0; ++j) {
+      found -= std::binary_search(first, last, match_[j]);
+    }
+    return found;
   }
 
   // Computes candidates of `level` into stack_[level]. Returns kOk, or the
@@ -662,17 +733,16 @@ class WarpRunner {
     const int src = plan_.reuse_source[level];
     if (src >= 0) {
       tracer_.Event(obs::TraceEvent::kReuseHit, level);
-      // Fig. 7 reuse: start from the stored candidates of `src`, read in
-      // place from the (paged) stack rather than copied out.
+      // Fig. 7 reuse: start from the stored candidates of `src`, read as a
+      // span — in place within one page, gathered (unmetered) across
+      // pages — rather than copied out element by element.
       const std::vector<int>& rest = plan_.reuse_rest[level];
-      auto stored = [this, src](int64_t i) { return stack_.Get(src, i); };
+      const VertexSpan stored =
+          stack_.StoredLevel(src, size_[src], &scratch_.base);
       if (rest.empty()) {
         // Identical backward sets: the result *is* the stored level.
-        cand_.reserve(static_cast<size_t>(size_[src]));
-        for (int64_t i = 0; i < size_[src]; ++i) {
-          cand_.push_back(stored(i));
-        }
-        work_.Add(static_cast<uint64_t>(size_[src]));
+        cand_.assign(stored.begin(), stored.end());
+        work_.Add(stored.size());
       } else {
         auto rest_list = [this, level](int backward_pos) {
           return BackwardNeighborList(graph_, shared_->index.get(),
@@ -685,9 +755,8 @@ class WarpRunner {
                                        ? plan_.label_filter[level]
                                        : kNoLabel;
         const IntersectDispatch& isect = shared_->steps.At(level);
-        IntersectStoredBase(isect, size_[src], stored,
-                            rest_list(rest[0]), match_[rest[0]],
-                            lookup_label, &scratch_.base, &cand_, &work_);
+        IntersectStoredBase(isect, stored, rest_list(rest[0]),
+                            match_[rest[0]], lookup_label, &cand_, &work_);
         for (size_t l = 1; l < rest.size(); ++l) {
           scratch_.b.clear();
           isect.Auto(VertexSpan(cand_), rest_list(rest[l]),
@@ -725,12 +794,22 @@ class WarpRunner {
     if (config_.steal == StealStrategy::kHalfSteal) {
       lock.lock();
     }
+    // Page runs: one copy per page. A dry pool can only stop a run at a
+    // page's first element (held pages never fail), so recovery runs at
+    // most once per page; its retry stores that element, and the run
+    // resumes after it. A failure truncates the level at `n`.
+    const VertexSpan values(*final_cands);
     int64_t n = 0;
     StackWrite failure = StackWrite::kOk;
-    for (VertexId v : *final_cands) {
-      StackWrite w = stack_.TrySet(level, n, v);
+    while (true) {
+      const LevelWrite run = stack_.WriteLevel(level, values.subspan(n), n);
+      n += run.written;
+      StackWrite w = run.status;
+      if (w == StackWrite::kOk) {
+        break;
+      }
       if (w == StackWrite::kPoolExhausted) {
-        w = RecoverPoolExhaustion(level, n, v);
+        w = RecoverPoolExhaustion(level, n, values[n]);
       }
       if (w != StackWrite::kOk) {
         failure = w;
@@ -874,18 +953,7 @@ class WarpRunner {
         // Last position: count valid candidates without descending.
         // (Thieves never window the last level — high caps at k-2 — so
         // one locked read of the bound suffices.)
-        const int64_t last_limit = LockedReadLimit(level);
-        uint64_t found = 0;
-        for (int64_t i = 0; i < last_limit; ++i) {
-          const VertexId v = stack_.Get(level, i);
-          if (Valid(level, v)) {
-            ++found;
-            if (shared_->sink != nullptr && !shared_->sink->Full()) {
-              EmitMatch(v);
-            }
-          }
-        }
-        matches_ += found;
+        matches_ += CountLeaf(LockedReadLimit(level));
         --level;
         if (level < base) {
           return SubtreeExit::kDone;
@@ -1008,11 +1076,10 @@ class WarpRunner {
     shared_->work_items->fetch_add(1, std::memory_order_acq_rel);
     auto prefix = std::make_shared<std::vector<VertexId>>(
         match_.begin(), match_.begin() + level);
-    auto candidates = std::make_shared<std::vector<VertexId>>();
-    candidates->reserve(static_cast<size_t>(size_[level]));
-    for (int64_t i = 0; i < size_[level]; ++i) {
-      candidates->push_back(stack_.Get(level, i));
-    }
+    const VertexSpan stored =
+        stack_.StoredLevel(level, size_[level], &scratch_.base);
+    auto candidates =
+        std::make_shared<std::vector<VertexId>>(stored.begin(), stored.end());
     ++local_.kernels_launched;
     local_.child_warps_launched += config_.newkernel_child_warps;
     SharedState<Stack>* shared = shared_;
@@ -1157,13 +1224,19 @@ class WarpRunner {
       // intersection base), then window the stolen level to its tail via
       // iter/limit. This copy — performed while holding the victim's lock,
       // with the victim blocked on its own stack — is the cost the paper
-      // attributes to Half Steal.
+      // attributes to Half Steal. A copy the thief's pool cannot hold
+      // abandons the steal before any window moves: the victim keeps all
+      // of its work.
+      for (int s = 2; s <= level; ++s) {
+        const VertexSpan stored =
+            victim->stack_.StoredLevel(s, victim->size_[s], &scratch_.base);
+        if (stack_.WriteLevel(s, stored).status != StackWrite::kOk) {
+          return false;
+        }
+      }
       std::copy(victim->match_.begin(), victim->match_.begin() + level,
                 match_.begin());
       for (int s = 2; s <= level; ++s) {
-        for (int64_t i = 0; i < victim->size_[s]; ++i) {
-          stack_.Set(s, i, victim->stack_.Get(s, i));
-        }
         size_[s] = victim->size_[s];
         work_.Add(static_cast<uint64_t>(victim->size_[s]));
       }
@@ -1291,6 +1364,8 @@ class WarpRunner {
   std::vector<int64_t> limit_;
   std::vector<int64_t> iter_;
   std::vector<VertexId> match_;
+  // The last position needs per-candidate checks (see LeafNeedsScan).
+  const bool leaf_scan_;
 
   CandidateScratch scratch_;
   std::vector<VertexId> cand_;

@@ -9,18 +9,22 @@
 //  * ArrayWarpStack — each level is a fixed-capacity array (d_max for
 //    guaranteed correctness, or STMatch's hardcoded 4096, which the paper
 //    shows silently truncates candidates and yields wrong counts on skewed
-//    graphs). Overflow is recorded in a sticky flag either way.
+//    graphs). A write past a level's capacity reports kCapacityExceeded;
+//    the engine records it as RunCounters::stack_overflow.
 //
 // The engines are templated over the backend, so the hot loop compiles to
 // direct array access for ArrayWarpStack and to a page-table indirection
 // for PagedWarpStack — mirroring the coalesced-vs-paged access cost the
-// paper measures in Tables VI/VIII.
+// paper measures in Tables VI/VIII. Whole levels move as page runs
+// (WriteLevel, StoredLevel): one table lookup and one copy per page.
 
 #ifndef TDFS_MEM_WARP_STACK_H_
 #define TDFS_MEM_WARP_STACK_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "mem/page_allocator.h"
@@ -39,6 +43,14 @@ enum class StackWrite {
   kOk,
   kPoolExhausted,   // AllocPage returned kNullPage; retriable
   kCapacityExceeded,  // beyond the page-table span / array capacity
+};
+
+/// Outcome of a run write (WriteLevel): how many leading elements were
+/// stored, and kOk or the failure that stopped the run at element
+/// `written`.
+struct LevelWrite {
+  int64_t written = 0;
+  StackWrite status = StackWrite::kOk;
 };
 
 /// Paged backend. Not thread-safe: a stack belongs to exactly one warp
@@ -66,7 +78,6 @@ class PagedWarpStack {
         tables_(std::move(other.tables_)),
         pages_held_(other.pages_held_),
         spill_pages_held_(other.spill_pages_held_),
-        overflowed_(other.overflowed_),
         tracer_(other.tracer_) {
     other.tables_.clear();
     other.pages_held_ = 0;
@@ -79,44 +90,51 @@ class PagedWarpStack {
   /// the stack's page traffic.
   void SetTracer(obs::WarpTracer* tracer) { tracer_ = tracer; }
 
-  /// Writes stack[level][pos], requesting a page on first touch (the
-  /// leader-elected page request of Alg. 5; one thread per warp here, so
-  /// the leader is implicit). Unlike Set, a failure is NOT sticky — the
+  /// Writes stack[level][pos], requesting a page on first touch. The
   /// engine's pressure path retries pool-exhausted writes after releasing
   /// pages and backing off.
   StackWrite TrySet(int level, int64_t pos, VertexId v) {
     const int64_t page_index = pos >> page_shift_;
-    const int64_t offset = pos & page_mask_;
     if (page_index >= page_table_capacity_) {
       return StackWrite::kCapacityExceeded;
     }
-    PageId& entry = tables_[level * page_table_capacity_ + page_index];
-    if (entry == kNullPage) {
-      entry = allocator_->AllocPage();
-      if (entry == kNullPage) {
-        return StackWrite::kPoolExhausted;
-      }
-      ++pages_held_;
-      if (allocator_->IsSpillPage(entry)) {
-        ++spill_pages_held_;
-        if (tracer_ != nullptr) {
-          tracer_->Event(obs::TraceEvent::kPageSpill, level);
-        }
-      } else if (tracer_ != nullptr) {
-        tracer_->Event(obs::TraceEvent::kPageAcquire, level);
-      }
+    const PageId page = TouchPage(level, page_index);
+    if (page == kNullPage) {
+      return StackWrite::kPoolExhausted;
     }
-    allocator_->PageData(entry)[offset] = v;
+    allocator_->PageData(page)[pos & page_mask_] = v;
     return StackWrite::kOk;
   }
 
-  /// TrySet with the sticky overflow flag on failure.
-  bool Set(int level, int64_t pos, VertexId v) {
-    if (TrySet(level, pos, v) != StackWrite::kOk) {
-      overflowed_ = true;
-      return false;
+  /// Writes `values` to stack[level][from, from + |values|) one page run at
+  /// a time: each page is mapped once (requested on first touch) and filled
+  /// with a single copy, the way a warp stores a whole run (Alg. 5). Stops
+  /// at the first page that cannot be mapped; the elements before it are
+  /// stored, and the result says how many and why.
+  LevelWrite WriteLevel(int level, VertexSpan values, int64_t from = 0) {
+    LevelWrite result;
+    const int64_t total = static_cast<int64_t>(values.size());
+    const int64_t page_ints = page_mask_ + 1;
+    while (result.written < total) {
+      const int64_t pos = from + result.written;
+      const int64_t page_index = pos >> page_shift_;
+      if (page_index >= page_table_capacity_) {
+        result.status = StackWrite::kCapacityExceeded;
+        break;
+      }
+      const PageId page = TouchPage(level, page_index);
+      if (page == kNullPage) {
+        result.status = StackWrite::kPoolExhausted;
+        break;
+      }
+      const int64_t offset = pos & page_mask_;
+      const int64_t run = std::min(total - result.written, page_ints - offset);
+      std::memcpy(allocator_->PageData(page) + offset,
+                  values.data() + result.written,
+                  static_cast<size_t>(run) * sizeof(VertexId));
+      result.written += run;
     }
-    return true;
+    return result;
   }
 
   /// Reads stack[level][pos]; the position must have been written.
@@ -128,14 +146,39 @@ class PagedWarpStack {
     return allocator_->PageData(entry)[offset];
   }
 
+  /// The first `size` elements of a level as one contiguous span. A level
+  /// within one page is returned in place (no copy — the GPU reads the
+  /// page where it lies); a longer one is gathered page by page into
+  /// `scratch`, and the span then aliases it until its next use. The
+  /// positions must have been written.
+  VertexSpan StoredLevel(int level, int64_t size,
+                         std::vector<VertexId>* scratch) const {
+    if (size == 0) {
+      return {};
+    }
+    const PageId* table = &tables_[level * page_table_capacity_];
+    const int64_t page_ints = page_mask_ + 1;
+    if (size <= page_ints) {
+      TDFS_CHECK_MSG(table[0] != kNullPage, "read of unallocated stack page");
+      return VertexSpan(allocator_->PageData(table[0]),
+                        static_cast<size_t>(size));
+    }
+    scratch->resize(static_cast<size_t>(size));
+    for (int64_t pos = 0; pos < size; pos += page_ints) {
+      const PageId page = table[pos >> page_shift_];
+      TDFS_CHECK_MSG(page != kNullPage, "read of unallocated stack page");
+      std::memcpy(scratch->data() + pos, allocator_->PageData(page),
+                  static_cast<size_t>(std::min(page_ints, size - pos)) *
+                      sizeof(VertexId));
+    }
+    return VertexSpan(*scratch);
+  }
+
   /// Maximum elements a level can hold (page-table span).
   int64_t LevelCapacity() const {
     return static_cast<int64_t>(page_table_capacity_)
            << page_shift_;
   }
-
-  /// Sticky: some Set() failed (pool exhausted or span exceeded).
-  bool overflowed() const { return overflowed_; }
 
   /// Pages currently held across all levels (held pages are reused across
   /// tasks and only returned by ReleaseAll, as in the paper).
@@ -181,6 +224,29 @@ class PagedWarpStack {
   }
 
  private:
+  // Page `page_index` of `level`, requested from the pool on first touch
+  // (the leader-elected page request of Alg. 5; one thread per warp here,
+  // so the leader is implicit). kNullPage when the pool is dry.
+  PageId TouchPage(int level, int64_t page_index) {
+    PageId& entry = tables_[level * page_table_capacity_ + page_index];
+    if (entry == kNullPage) {
+      entry = allocator_->AllocPage();
+      if (entry == kNullPage) {
+        return kNullPage;
+      }
+      ++pages_held_;
+      if (allocator_->IsSpillPage(entry)) {
+        ++spill_pages_held_;
+        if (tracer_ != nullptr) {
+          tracer_->Event(obs::TraceEvent::kPageSpill, level);
+        }
+      } else if (tracer_ != nullptr) {
+        tracer_->Event(obs::TraceEvent::kPageAcquire, level);
+      }
+    }
+    return entry;
+  }
+
   PageAllocator* allocator_;
   int num_levels_;
   int32_t page_table_capacity_;
@@ -189,7 +255,6 @@ class PagedWarpStack {
   std::vector<PageId> tables_;  // num_levels x page_table_capacity
   int64_t pages_held_ = 0;
   int64_t spill_pages_held_ = 0;
-  bool overflowed_ = false;
   obs::WarpTracer* tracer_ = nullptr;
 };
 
@@ -212,22 +277,33 @@ class ArrayWarpStack {
     return StackWrite::kOk;
   }
 
-  /// TrySet with the sticky overflow flag on failure.
-  bool Set(int level, int64_t pos, VertexId v) {
-    if (TrySet(level, pos, v) != StackWrite::kOk) {
-      overflowed_ = true;
-      return false;
+  /// Run write (see PagedWarpStack::WriteLevel): one copy; the part past
+  /// the level capacity is dropped and reported as kCapacityExceeded.
+  LevelWrite WriteLevel(int level, VertexSpan values, int64_t from = 0) {
+    const int64_t room = std::max<int64_t>(level_capacity_ - from, 0);
+    const int64_t total = static_cast<int64_t>(values.size());
+    LevelWrite result;
+    result.written = std::min(total, room);
+    std::copy_n(values.data(), result.written,
+                data_.data() + level * level_capacity_ + from);
+    if (result.written < total) {
+      result.status = StackWrite::kCapacityExceeded;
     }
-    return true;
+    return result;
   }
 
   VertexId Get(int level, int64_t pos) const {
     return data_[level * level_capacity_ + pos];
   }
 
-  int64_t LevelCapacity() const { return level_capacity_; }
+  /// The first `size` elements of a level, always in place.
+  VertexSpan StoredLevel(int level, int64_t size,
+                         std::vector<VertexId>* /*scratch*/) const {
+    return VertexSpan(data_.data() + level * level_capacity_,
+                      static_cast<size_t>(size));
+  }
 
-  bool overflowed() const { return overflowed_; }
+  int64_t LevelCapacity() const { return level_capacity_; }
 
   int64_t MemoryBytes() const {
     return static_cast<int64_t>(data_.size()) * sizeof(VertexId);
@@ -236,7 +312,6 @@ class ArrayWarpStack {
  private:
   int64_t level_capacity_;
   std::vector<VertexId> data_;
-  bool overflowed_ = false;
 };
 
 }  // namespace tdfs

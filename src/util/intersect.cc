@@ -184,21 +184,16 @@ uint64_t GallopProbeWork(size_t from, size_t r, size_t n) {
   if (from >= n || r == from) {
     return 1;
   }
-  // Otherwise replay the exponential probe by index arithmetic alone: the
-  // loop condition hay[hi] < v holds iff hi < r, r being the first index
-  // whose element is >= v.
-  size_t step = 1;
-  size_t lo = from;
-  size_t hi = from + step;
-  uint64_t probes = 1;
-  while (hi < n && hi < r) {
-    lo = hi;
-    step <<= 1;
-    hi = from + step;
-    ++probes;
-  }
-  hi = std::min(hi, n);
-  return probes + LogCost(hi - lo);
+  // Otherwise the exponential probe doubles `step` from 1 while
+  // hay[from + step] < v, i.e. while from + step < min(n, r): it runs once
+  // per power of two <= d = min(n, r) - from - 1, which is bit_width(d)
+  // times. The binary refinement then covers (lo, hi] between the last two
+  // probes, hi clamped to n.
+  const size_t d = std::min(n, r) - from - 1;
+  const int p = std::bit_width(d);
+  const size_t lo = p == 0 ? from : from + (size_t{1} << (p - 1));
+  const size_t hi = std::min(from + (size_t{1} << p), n);
+  return 1 + static_cast<uint64_t>(p) + LogCost(hi - lo);
 }
 
 const char* SimdLevelName(SimdLevel level) {

@@ -19,6 +19,7 @@
 #ifndef TDFS_UTIL_INTERSECT_H_
 #define TDFS_UTIL_INTERSECT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -111,15 +112,11 @@ void DifferenceMerge(VertexSpan a, VertexSpan b, std::vector<VertexId>* out,
 // ---------------------------------------------------------------------------
 
 /// Work cost of one binary search over n elements: 1 + floor(log2 n) probes
-/// (1 for n <= 1). The charge used by SortedContains and by the binary
-/// refinement inside GallopLowerBound.
+/// (1 for n <= 1), i.e. the bit width of n (of 1 when n is 0). The charge
+/// used by SortedContains and by the binary refinement inside
+/// GallopLowerBound.
 inline uint64_t BinarySearchLogCost(size_t n) {
-  uint64_t cost = 1;
-  while (n > 1) {
-    n >>= 1;
-    ++cost;
-  }
-  return cost;
+  return static_cast<uint64_t>(std::bit_width(n | 1));
 }
 
 /// Exact number of loop steps the scalar MergeVisit(a, b) executes when the
@@ -129,7 +126,8 @@ uint64_t MergeStepsWork(VertexSpan a, VertexSpan b, size_t matches);
 
 /// Exact charge of GallopLowerBound(hay, from, v) given only the result
 /// index `r` (the returned lower bound) and n = |hay| — no element accesses.
-/// Valid because within the exponential probe loop hay[hi] < v iff hi < r.
+/// Valid because within the exponential probe loop hay[hi] < v iff hi < r,
+/// which makes the loop's trip count a bit width (closed form, O(1)).
 uint64_t GallopProbeWork(size_t from, size_t r, size_t n);
 
 // ---------------------------------------------------------------------------

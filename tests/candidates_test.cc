@@ -129,10 +129,7 @@ TEST(IntersectStoredBaseTest, MatchesStdIntersectionAcrossRatios) {
                           list.end(), std::back_inserter(expected));
     std::vector<VertexId> out;
     WorkCounter work;
-    IntersectStoredBase(
-        static_cast<int64_t>(base.size()),
-        [&base](int64_t i) { return base[i]; }, VertexSpan(list), &out,
-        &work);
+    IntersectStoredBase(VertexSpan(base), VertexSpan(list), &out, &work);
     EXPECT_EQ(out, expected) << "trial " << trial;
     EXPECT_GT(work.units, 0u);
   }
@@ -141,12 +138,9 @@ TEST(IntersectStoredBaseTest, MatchesStdIntersectionAcrossRatios) {
 TEST(IntersectStoredBaseTest, EmptyInputs) {
   std::vector<VertexId> base = {1, 2, 3};
   std::vector<VertexId> out;
-  IntersectStoredBase(0, [](int64_t) { return 0; },
-                      VertexSpan(base), &out, nullptr);
+  IntersectStoredBase(VertexSpan(), VertexSpan(base), &out, nullptr);
   EXPECT_TRUE(out.empty());
-  IntersectStoredBase(static_cast<int64_t>(base.size()),
-                      [&base](int64_t i) { return base[i]; }, VertexSpan(),
-                      &out, nullptr);
+  IntersectStoredBase(VertexSpan(base), VertexSpan(), &out, nullptr);
   EXPECT_TRUE(out.empty());
 }
 

@@ -3,6 +3,7 @@
 #include "core/matcher.h"
 #include "graph/generators.h"
 #include "query/patterns.h"
+#include "util/failpoint.h"
 #include "util/timer.h"
 
 namespace tdfs {
@@ -55,6 +56,26 @@ TEST(DeadlineTest, BfsEngineAborts) {
   RunResult r = RunMatchingBfs(g, Pattern(8), config);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(timer.ElapsedMillis(), 2000.0);
+}
+
+TEST(DeadlineTest, IdleWarpsHonourDeadline) {
+  // A tiny virtual tau splits every chunk into queue tasks, but every
+  // dequeue reports an empty queue: once the chunks are done, all warps
+  // idle on work tokens that no task will return, and no DFS step is left
+  // to probe the clock. The idle warps must read it themselves.
+  Graph g = GenerateBarabasiAlbert(2000, 4, 3);
+  EngineConfig config = TdfsConfig();
+  config.clock = ClockKind::kVirtual;
+  config.timeout_work_units = 64;
+  config.max_run_ms = 200;
+  fail::Arm("queue_dequeue", fail::Trigger::Always());
+  Timer timer;
+  RunResult r = RunMatching(g, Pattern(1), config);
+  fail::DisarmAll();
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded) << r.status;
+  EXPECT_GT(r.counters.tasks_enqueued, 0) << "no task was ever queued";
+  EXPECT_EQ(r.counters.tasks_dequeued, 0);
+  EXPECT_LT(timer.ElapsedMillis(), 5000.0);
 }
 
 TEST(DeadlineTest, GenerousDeadlineDoesNotTrip) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/match_sink.h"
 #include "core/matcher.h"
 #include "graph/generators.h"
 #include "mem/page_allocator.h"
@@ -266,6 +267,105 @@ TEST(TdfsEngineTest, DisconnectedQueryRejected) {
   RunResult r = RunMatching(g, q, TdfsConfig());
   EXPECT_FALSE(r.status.ok());
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+}
+
+// ---- kernel paths ----
+// The leaf count, the page-run stack writes and the reuse base read as a
+// span each have a closed-form or one-copy fast path; these pin them to
+// the per-candidate behaviour: counts and work_units must not move.
+
+// Random labeled graphs: a hub-heavy power law (leaf and reuse sets of a
+// few hundred candidates) and a flat Erdős–Rényi graph.
+std::vector<Graph> KernelPathGraphs() {
+  std::vector<Graph> graphs;
+  graphs.push_back(GenerateHubbedPowerLaw(400, 3, 3, 120, 21));
+  graphs.push_back(GenerateErdosRenyi(300, 1800, 22));
+  for (Graph& g : graphs) {
+    g.AssignUniformLabels(4, 23);
+  }
+  return graphs;
+}
+
+// Virtual clock with a small tau, so queue tasks (and the level-2 reuse
+// rebuild of 3-vertex tasks) run as well; work_units replay exactly.
+EngineConfig KernelPathConfig() {
+  EngineConfig config = TdfsConfig();
+  config.num_warps = 2;
+  config.clock = ClockKind::kVirtual;
+  config.timeout_work_units = 512;
+  return config;
+}
+
+TEST(KernelPathTest, LeafEmissionMatchesClosedFormCount) {
+  // A sink switches the leaf to its per-candidate emission scan; without
+  // one the leaf is counted in closed form. Both charge the same units,
+  // and a full sink keeps emitting nothing while the count stays exact.
+  constexpr int64_t kSinkCapacity = 1 << 16;
+  const EngineConfig config = KernelPathConfig();
+  for (const Graph& g : KernelPathGraphs()) {
+    // P1-P11 (with and without symmetry restrictions) and their labeled
+    // twins P12-P22.
+    for (int i : AllPatternIndices()) {
+      const QueryGraph q = Pattern(i);
+      const RunResult counted = RunMatching(g, q, config);
+      ASSERT_TRUE(counted.status.ok()) << counted.status;
+      MatchSink sink(q.NumVertices(), kSinkCapacity);
+      const RunResult emitted = RunMatchingCollect(g, q, config, &sink);
+      ASSERT_TRUE(emitted.status.ok()) << emitted.status;
+      EXPECT_EQ(emitted.match_count, counted.match_count) << PatternName(i);
+      EXPECT_EQ(emitted.counters.work_units, counted.counters.work_units)
+          << PatternName(i);
+      EXPECT_EQ(sink.NumMatches(),
+                std::min<int64_t>(static_cast<int64_t>(counted.match_count),
+                                  kSinkCapacity))
+          << PatternName(i);
+      EXPECT_EQ(counted.match_count, Oracle(g, q, config)) << PatternName(i);
+    }
+  }
+}
+
+TEST(KernelPathTest, MultiPageLevelsMatchSinglePageRun) {
+  // 64-byte pages (16 ids): nearly every stored level spans pages, so each
+  // reuse base and leaf is gathered and each write is split into page
+  // runs. Counts and work_units must equal the default-page run.
+  for (const Graph& g : KernelPathGraphs()) {
+    for (int i : AllPatternIndices()) {
+      const EngineConfig config = KernelPathConfig();
+      EngineConfig small_pages = config;
+      small_pages.page_bytes = 64;
+      small_pages.page_pool_pages = 65536;
+      const RunResult want = RunMatching(g, Pattern(i), config);
+      const RunResult got = RunMatching(g, Pattern(i), small_pages);
+      ASSERT_TRUE(want.status.ok()) << want.status;
+      ASSERT_TRUE(got.status.ok()) << got.status;
+      EXPECT_EQ(got.match_count, want.match_count) << PatternName(i);
+      EXPECT_EQ(got.counters.work_units, want.counters.work_units)
+          << PatternName(i);
+      EXPECT_FALSE(got.counters.stack_overflow) << PatternName(i);
+    }
+  }
+}
+
+// The wrong count of the run below with element-by-element stack writes.
+constexpr uint64_t kStmatchTruncatedCount = 17379311;
+
+TEST(KernelPathTest, StmatchFixedArrayStillTruncates) {
+  // STMatch's hardcoded 4096-slot levels on a graph whose two hubs have
+  // about 6600 neighbours each. The wedge extends its last position from
+  // one backward neighbour, so a hub's whole adjacency overflows the
+  // level. The run write must truncate exactly where the per-element
+  // writes stopped, so the wrong count stays the same.
+  const Graph g = GenerateHubbedPowerLaw(20000, 2, 2, 8000, 31);
+  const QueryGraph wedge(3, {{0, 1}, {1, 2}});
+  EngineConfig config = StmatchConfig();
+  config.stack = StackKind::kArrayFixed;
+  config.fixed_stack_capacity = 4096;
+  config.num_warps = 2;
+  const RunResult r = RunMatching(g, wedge, config);
+  ASSERT_TRUE(r.status.ok()) << r.status;
+  EXPECT_TRUE(r.counters.stack_overflow);
+  EXPECT_LT(r.match_count, Oracle(g, wedge, config));
+  EXPECT_EQ(r.match_count, kStmatchTruncatedCount);
 }
 
 // ---- borrowed resources (EngineConfig::resources) ----

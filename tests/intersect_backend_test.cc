@@ -189,6 +189,61 @@ TEST(WorkModelTest, MergeStepsWorkMatchesScalarCounter) {
   }
 }
 
+// The loop forms the closed-form work models replaced, kept as references.
+uint64_t LoopBinarySearchLogCost(size_t n) {
+  uint64_t cost = 1;
+  while (n > 1) {
+    n >>= 1;
+    ++cost;
+  }
+  return cost;
+}
+
+uint64_t LoopGallopProbeWork(size_t from, size_t r, size_t n) {
+  if (from >= n || r == from) {
+    return 1;
+  }
+  size_t step = 1;
+  size_t lo = from;
+  size_t hi = from + step;
+  uint64_t probes = 1;
+  while (hi < n && hi < r) {
+    lo = hi;
+    step <<= 1;
+    hi = from + step;
+    ++probes;
+  }
+  hi = std::min(hi, n);
+  return probes + LoopBinarySearchLogCost(hi - lo);
+}
+
+TEST(WorkModelTest, BinarySearchLogCostMatchesLoopForm) {
+  for (size_t n = 0; n < (size_t{1} << 14); ++n) {
+    ASSERT_EQ(BinarySearchLogCost(n), LoopBinarySearchLogCost(n))
+        << "n=" << n;
+  }
+}
+
+TEST(WorkModelTest, GallopProbeWorkMatchesLoopForm) {
+  // Every (from, r, n) a lower bound can produce: from <= r <= n, plus the
+  // from >= n early exit. Mismatches are tallied, not asserted one by one,
+  // to keep ~22M comparisons fast.
+  uint64_t mismatches = 0;
+  std::string first;
+  for (size_t n = 0; n <= 512; ++n) {
+    for (size_t from = 0; from <= n + 1; ++from) {
+      for (size_t r = from; r <= std::max(from, n); ++r) {
+        if (GallopProbeWork(from, r, n) != LoopGallopProbeWork(from, r, n) &&
+            mismatches++ == 0) {
+          first = "from=" + std::to_string(from) + " r=" +
+                  std::to_string(r) + " n=" + std::to_string(n);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first;
+}
+
 TEST(WorkModelTest, GallopProbeWorkMatchesGallopLowerBound) {
   // GallopProbeWork(from, r, n) must replay, by index arithmetic alone,
   // exactly what GallopLowerBound charges its WorkCounter.
@@ -326,25 +381,22 @@ TEST(BackendDifferentialTest, StoredBaseAllArmsAllBackends) {
     for (size_t base_size : base_sizes) {
       const Vec base =
           SortedSet(rng, base_size, static_cast<VertexId>(g.NumVertices()));
-      auto get = [&base](int64_t i) { return base[i]; };
       Vec want;
       WorkCounter want_work;
-      Vec scratch;
-      IntersectStoredBase(reference, static_cast<int64_t>(base.size()), get,
-                          list, owner, kNoLabel, &scratch, &want, &want_work);
+      IntersectStoredBase(reference, VertexSpan(base), list, owner, kNoLabel,
+                          &want, &want_work);
       // The legacy overload is the scalar path — must agree with the
       // explicit scalar dispatch.
       Vec legacy;
       WorkCounter legacy_work;
-      IntersectStoredBase(static_cast<int64_t>(base.size()), get, list,
-                          &legacy, &legacy_work);
+      IntersectStoredBase(VertexSpan(base), list, &legacy, &legacy_work);
       EXPECT_EQ(legacy, want);
       EXPECT_EQ(legacy_work.units, want_work.units);
       for (const IntersectDispatch& d : backends) {
         Vec got;
         WorkCounter got_work;
-        IntersectStoredBase(d, static_cast<int64_t>(base.size()), get, list,
-                            owner, kNoLabel, &scratch, &got, &got_work);
+        IntersectStoredBase(d, VertexSpan(base), list, owner, kNoLabel, &got,
+                            &got_work);
         EXPECT_EQ(got, want) << "owner=" << owner << " base=" << base.size()
                              << " list=" << list.size();
         EXPECT_EQ(got_work.units, want_work.units)
